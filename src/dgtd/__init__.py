@@ -8,9 +8,7 @@ from .dg_core import (
     FluxParams,
     SpatialOperator,
     boundary_ghost,
-    gather_traces,
     numerical_flux,
-    spatial_rhs,
 )
 from .errors import (
     BlowupDetected,

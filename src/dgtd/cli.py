@@ -49,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="path to config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent cases")
+
+    def tolerance(p):
         p.add_argument("--tol", type=float, default=None,
                        help="relative bisection tolerance override")
 
@@ -67,9 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dtmax = sub.add_parser("dtmax-sweep",
                              help="bisect the maximum stable dt for one case")
     common(p_dtmax)
+    tolerance(p_dtmax)
 
     p_table = sub.add_parser("table", help="regenerate a CFL table as CSV")
     common(p_table)
+    tolerance(p_table)
+    p_table.add_argument("--threads", type=int, default=1,
+                         help="worker threads for independent cases")
     return parser
 
 

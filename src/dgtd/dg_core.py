@@ -10,9 +10,19 @@ operator evaluates, per element,
 with the element coupling carried entirely by an impedance-weighted
 numerical flux of the field jumps, interpolated between a central
 (alpha = 0) and an upwind (alpha = 1) form. Boundary faces synthesize an
-exterior ghost trace: PEC mirrors the tangential electric field, PMC the
-magnetic one, and the Silver-Muller absorbing condition uses a zero
-exterior state with the flux forced to its upwind form.
+exterior ghost trace u+ = s u- from one sign table: PEC mirrors the
+tangential electric field, PMC the magnetic one, and the Silver-Muller
+absorbing condition uses a zero exterior state with the flux forced to
+its upwind form.
+
+The leap-frog scheme evaluates the E and H updates separately, so each
+half-step kernel (rhs_e, rhs_h) gathers only the jumps its flux
+component reads: the Hz jump for E and the E jumps for Hz, plus the
+field's own jumps when some face has alpha > 0. The flux coefficients
+are precomputed per face with the face scaling, the normals, the
+impedance weights, alpha and the material inverse folded in
+(Hesthaven & Warburton, Nodal Discontinuous Galerkin Methods, 2008,
+ch. 3 and 6). numerical_flux is the pointwise reference formula.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MeshError
-from .materials import MaterialMap, face_impedances
+from .materials import FaceImpedance, MaterialMap, face_impedances
 from .mesh import Mesh2D
 from .reference_element import ReferenceElement
 
@@ -75,46 +85,60 @@ def numerical_flux(jump_ex, jump_ey, jump_hz, nx, ny,
     return f_ex, f_ey, f_hz
 
 
+# Boundary faces see the ghost state u+ = s u- as (s_E, s_H), which sets the
+# jumps [E] = 2E-, [Hz] = 0 (PEC), [E] = 0, [Hz] = 2Hz- (PMC) and
+# [E] = E-, [Hz] = Hz- (Silver-Muller). The last entry pins the boundary
+# flux alpha (None: the operator's own alpha); Silver-Muller is upwind.
+_BOUNDARY_RULES = {
+    BC_PEC: (-1.0, 1.0, None),
+    BC_PMC: (1.0, -1.0, None),
+    BC_SM: (0.0, 0.0, 1.0),
+}
+
+
+def _boundary_rule(bc: str, alpha: float) -> tuple[float, float, float]:
+    """Ghost signs (s_E, s_H) and the flux alpha of a boundary face."""
+    s_e, s_h, pinned = _BOUNDARY_RULES[normalize_bc(bc)]
+    return s_e, s_h, alpha if pinned is None else pinned
+
+
 def boundary_ghost(bc: str, alpha: float, interior_trace):
     """Exterior ghost trace and effective flux alpha for a boundary face.
 
-    interior_trace is an (ex, ey, hz) tuple of arrays. The returned
-    exterior trace realizes the jump settings [E] = 2E-, [Hz] = 0 (PEC),
-    [E] = 0, [Hz] = 2Hz- (PMC) and [E] = E-, [Hz] = Hz- with the flux
-    pinned to alpha = 1 (Silver-Muller).
+    interior_trace is an (ex, ey, hz) tuple of arrays; the ghost is the
+    interior trace scaled by the boundary condition's signs.
     """
-    bc = normalize_bc(bc)
+    s_e, s_h, alpha_b = _boundary_rule(bc, alpha)
     ex, ey, hz = (np.asarray(f, dtype=float) for f in interior_trace)
-    if bc == BC_PEC:
-        return (-ex, -ey, hz.copy()), alpha
-    if bc == BC_PMC:
-        return (ex.copy(), ey.copy(), -hz), alpha
-    return (np.zeros_like(ex), np.zeros_like(ey), np.zeros_like(hz)), 1.0
+    return (s_e * ex, s_e * ey, s_h * hz), alpha_b
 
 
-@dataclass(frozen=True)
-class TraceData:
-    """Two-sided traces at the face nodes of one element, shape (3, Nfp)."""
+def _exterior_index(mesh: Mesh2D, elem: ReferenceElement) -> np.ndarray:
+    """Flat index into a (K, Np) field of every face node's exterior trace.
 
-    ex_minus: np.ndarray
-    ey_minus: np.ndarray
-    hz_minus: np.ndarray
-    ex_plus: np.ndarray
-    ey_plus: np.ndarray
-    hz_plus: np.ndarray
-    alpha_face: np.ndarray  # (3,)
+    The neighbor walks the shared edge in the opposite direction, so its
+    face-node order is reversed; a boundary face points at the element's
+    own node. Shape (K, 3, Nfp).
+    """
+    fm = elem.face_nodes
+    interior = mesh.neighbor >= 0
+    ext_elem = np.where(interior, mesh.neighbor, np.arange(mesh.n_elements)[:, None])
+    ext_node = np.where(interior[:, :, None],
+                        fm[:, ::-1][np.where(interior, mesh.neighbor_face, 0)], fm)
+    return ext_elem[:, :, None] * elem.node_count + ext_node
 
-    @property
-    def jump_ex(self) -> np.ndarray:
-        return self.ex_minus - self.ex_plus
 
-    @property
-    def jump_ey(self) -> np.ndarray:
-        return self.ey_minus - self.ey_plus
+def _impedance_weights(imp: FaceImpedance, mesh: Mesh2D, materials: MaterialMap):
+    """1/(z+ + z-), 1/((y+ + y-) mu) and their z+, y+ multiples, each times
+    edge_length/(2 J), the factor with which face integrals enter LIFT.
 
-    @property
-    def jump_hz(self) -> np.ndarray:
-        return self.hz_minus - self.hz_plus
+    A function of its own so that the impedance arrays are freed before
+    the operator builds its stacked coefficients.
+    """
+    fscale = mesh.edge_length / (2.0 * mesh.jac[:, None])
+    z_w = fscale / (imp.z_plus + imp.z_minus)
+    y_w = fscale / ((imp.y_plus + imp.y_minus) * materials.mu[:, None])
+    return z_w, y_w, imp.z_plus * z_w, imp.y_plus * y_w
 
 
 class SpatialOperator:
@@ -134,151 +158,120 @@ class SpatialOperator:
         self.elem = elem
         self.flux = flux
 
-        k_elems = mesh.n_elements
         n_fp = elem.face_node_count
-        fm = elem.face_nodes
         self.x, self.y = mesh.map_reference_nodes(elem.r, elem.s)
-
+        self._fm_flat = elem.face_nodes.ravel()
+        self._trace_shape = (mesh.n_elements, 3, n_fp)
+        self._vp = _exterior_index(mesh, elem)
+        # ghost signs apply at boundary face nodes only (s = 1 elsewhere)
         interior = mesh.neighbor >= 0
-        self._interior = interior
-        self._boundary = ~interior
-        self._ext_elem = np.where(interior, mesh.neighbor, np.arange(k_elems)[:, None])
-
-        # Exterior trace nodes: the neighbor walks the shared edge in the
-        # opposite direction, so its face-node order is simply reversed.
-        nbrf = np.where(interior, mesh.neighbor_face, 0)
-        own = np.broadcast_to(fm[None, :, :], (k_elems, 3, n_fp))
-        self._ext_node = np.where(interior[:, :, None], fm[:, ::-1][nbrf], own)
-        self._fm_flat = fm.ravel()
+        self._boundary_nodes = np.flatnonzero(np.repeat(~interior, n_fp))
+        self.sign_e, self.sign_h, alpha_b = _boundary_rule(flux.bc, flux.alpha)
         self._check_conforming_traces()
 
-        imp = face_impedances(materials, mesh)
-        self.impedance = imp
-        self._nx = mesh.normals[:, :, 0][:, :, None]
-        self._ny = mesh.normals[:, :, 1][:, :, None]
-        self._zm = imp.z_minus[:, :, None]
-        self._zp = imp.z_plus[:, :, None]
-        self._ym = imp.y_minus[:, :, None]
-        self._yp = imp.y_plus[:, :, None]
+        self._init_face_coefficients(np.where(interior, flux.alpha, alpha_b))
 
-        alpha_face = np.full((k_elems, 3), flux.alpha)
-        if flux.bc == BC_SM:
-            alpha_face[self._boundary] = 1.0
-        self.alpha_face = alpha_face
-        self._af = alpha_face[:, :, None]
-
-        # face integrals enter the residual as LIFT @ (edge_length/(2 J) * flux)
-        self._fscale = (mesh.edge_length / (2.0 * mesh.jac[:, None]))[:, :, None]
         self._lift_t = elem.lift.T.copy()
-        self._dr_t = elem.diff_r.T.copy()
-        self._ds_t = elem.diff_s.T.copy()
-        self._rx = mesh.rx[:, None]
-        self._ry = mesh.ry[:, None]
-        self._sx = mesh.sx[:, None]
-        self._sy = mesh.sy[:, None]
+        self._d_t = np.hstack([elem.diff_r.T, elem.diff_s.T])  # [Dr^T | Ds^T]
+        self._rx, self._ry, self._sx, self._sy = (
+            g[:, None] for g in (mesh.rx, mesh.ry, mesh.sx, mesh.sy))
         self._inv_mu = (1.0 / materials.mu)[:, None]
-        inv_eps = materials.inv_eps
-        self._ie00 = inv_eps[:, 0, 0][:, None]
-        self._ie01 = inv_eps[:, 0, 1][:, None]
-        self._ie10 = inv_eps[:, 1, 0][:, None]
-        self._ie11 = inv_eps[:, 1, 1][:, None]
+        # eps^-1 (dHz/dy, -dHz/dx) = e_vol[0] dHz/dr + e_vol[1] dHz/ds
+        ie0, ie1 = np.ascontiguousarray(materials.inv_eps.transpose(2, 1, 0))  # (2, K) each
+        self._e_vol = np.stack([ie0 * mesh.ry - ie1 * mesh.rx,
+                                ie0 * mesh.sy - ie1 * mesh.sx])[..., None]  # (2, 2, K, 1)
+
+    def _init_face_coefficients(self, alpha: np.ndarray):
+        """Flux coefficients per face, (K, 3, 1) or stacked (2, K, 3, 1).
+
+        alpha is the flux parameter of every face, (K, 3). The
+        coefficients fold in edge_length/(2 J), the factor with which face
+        integrals enter through LIFT, and the inverse permittivity or
+        permeability of the field they update:
+
+            f_E = e_dir (z+ [Hz] - alpha n x [E]) / (z+ + z-),
+            f_H = (y+ n x [E] - alpha [Hz]) / ((y+ + y-) mu),
+
+        with e_dir = eps^-1 (-ny, nx).
+        """
+        mesh = self.mesh
+        self._upwind = bool(alpha.any())
+        z_w, y_w, z_hz, y_e = _impedance_weights(self.impedance, mesh, self.materials)
+        nx, ny = mesh.normals[:, :, 0], mesh.normals[:, :, 1]
+        normal = np.ascontiguousarray(mesh.normals.transpose(2, 0, 1))[..., None]
+        ie0, ie1 = np.ascontiguousarray(self.materials.inv_eps.transpose(2, 1, 0))[..., None]
+        e_dir = (ie1 * nx - ie0 * ny)[..., None]                     # eps^-1 (-ny, nx)
+        self._e_from_h = e_dir * z_hz[..., None]
+        self._h_from_e = normal * y_e[..., None]
+        if self._upwind:
+            self._e_dir = e_dir
+            self._e_from_e = normal * (alpha * z_w)[..., None]
+            self._h_from_h = (alpha * y_w)[..., None]
+
+    @property
+    def impedance(self) -> FaceImpedance:
+        """Face impedances, recomputed on access: the kernel keeps only the
+        flux coefficients folded from them."""
+        return face_impedances(self.materials, self.mesh)
 
     def _check_conforming_traces(self):
-        xm, xp = self._gather(self.x)
-        ym, yp = self._gather(self.y)
-        mismatch = np.hypot(xm - xp, ym - yp)[self._interior]
+        mismatch = np.hypot(self.jump(self.x, 1.0), self.jump(self.y, 1.0))
         if mismatch.size and mismatch.max() > 1e-9 * max(self.mesh.h_max, 1.0):
             raise MeshError(
                 "face nodes of neighboring elements do not coincide; "
                 "mesh is not conforming"
             )
 
-    # -- trace gathering ------------------------------------------------
+    # -- surface terms ----------------------------------------------------
 
-    def _gather(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k_elems, n_fp = self.mesh.n_elements, self.elem.face_node_count
-        minus = u[:, self._fm_flat].reshape(k_elems, 3, n_fp)
-        plus = u[self._ext_elem[:, :, None], self._ext_node]
-        return minus, plus
+    def jump(self, u: np.ndarray, sign: float) -> np.ndarray:
+        """Jump u- - s u+ at every face node, shape (K, 3, Nfp).
 
-    def traces_all(self, ex: np.ndarray, ey: np.ndarray, hz: np.ndarray):
-        """Interior and exterior traces on every face, ghosts applied."""
-        exm, exp_ = self._gather(ex)
-        eym, eyp = self._gather(ey)
-        hzm, hzp = self._gather(hz)
-        b = self._boundary
-        bc = self.flux.bc
-        if bc == BC_PEC:
-            exp_[b] = -exm[b]
-            eyp[b] = -eym[b]
-            hzp[b] = hzm[b]
-        elif bc == BC_PMC:
-            exp_[b] = exm[b]
-            eyp[b] = eym[b]
-            hzp[b] = -hzm[b]
-        else:  # Silver-Muller: zero exterior state
-            exp_[b] = 0.0
-            eyp[b] = 0.0
-            hzp[b] = 0.0
-        return (exm, eym, hzm), (exp_, eyp, hzp)
+        s is 1 on interior faces and `sign` (the field's ghost sign,
+        sign_e or sign_h) on boundary faces, where u+ is the node's own
+        value.
+        """
+        minus = u[:, self._fm_flat].reshape(self._trace_shape)
+        plus = u.reshape(-1).take(self._vp)
+        plus.reshape(-1)[self._boundary_nodes] *= sign
+        return minus - plus
 
-    # -- derivative helpers ----------------------------------------------
-
-    def _grad_x(self, u: np.ndarray) -> np.ndarray:
-        return self._rx * (u @ self._dr_t) + self._sx * (u @ self._ds_t)
-
-    def _grad_y(self, u: np.ndarray) -> np.ndarray:
-        return self._ry * (u @ self._dr_t) + self._sy * (u @ self._ds_t)
+    def _cross_jump(self, ex: np.ndarray, ey: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """w[0] [Ey] - w[1] [Ex]: n x [E] for w = n, with a weight folded in."""
+        return w[0] * self.jump(ey, self.sign_e) - w[1] * self.jump(ex, self.sign_e)
 
     def _lift(self, face_values: np.ndarray) -> np.ndarray:
-        k_elems = self.mesh.n_elements
-        return (self._fscale * face_values).reshape(k_elems, -1) @ self._lift_t
+        """LIFT applied to (..., K, 3, Nfp) face values, giving (..., K, Np)."""
+        return face_values.reshape(*face_values.shape[:-2], -1) @ self._lift_t
+
+    def _ref_grad(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(du/dr, du/ds) from one product with [Dr^T | Ds^T]."""
+        g = u @ self._d_t
+        n_p = u.shape[1]
+        return g[:, :n_p], g[:, n_p:]
 
     # -- right-hand sides --------------------------------------------------
 
-    def _fluxes(self, ex, ey, hz):
-        minus, plus = self.traces_all(ex, ey, hz)
-        return numerical_flux(
-            minus[0] - plus[0], minus[1] - plus[1], minus[2] - plus[2],
-            self._nx, self._ny, self._zm, self._zp, self._ym, self._yp,
-            self._af,
-        )
-
     def rhs_e(self, ex, ey, hz) -> tuple[np.ndarray, np.ndarray]:
         """Time derivative of (Ex, Ey); E jumps feed only the alpha penalty."""
-        f_ex, f_ey, _ = self._fluxes(ex, ey, hz)
-        a_x = self._grad_y(hz) + self._lift(f_ex)
-        a_y = -self._grad_x(hz) + self._lift(f_ey)
-        return (self._ie00 * a_x + self._ie01 * a_y,
-                self._ie10 * a_x + self._ie11 * a_y)
+        flux = self._e_from_h * self.jump(hz, self.sign_h)
+        if self._upwind:
+            flux -= self._e_dir * self._cross_jump(ex, ey, self._e_from_e)
+        hz_r, hz_s = self._ref_grad(hz)
+        r_e = self._e_vol[0] * hz_r + self._e_vol[1] * hz_s + self._lift(flux)
+        return r_e[0], r_e[1]
 
     def rhs_h(self, ex, ey, hz) -> np.ndarray:
-        """Time derivative of Hz."""
-        _, _, f_hz = self._fluxes(ex, ey, hz)
-        return self._inv_mu * (self._grad_y(ex) - self._grad_x(ey) + self._lift(f_hz))
+        """Time derivative of Hz; the Hz jump feeds only the alpha penalty."""
+        flux = self._cross_jump(ex, ey, self._h_from_e)
+        if self._upwind:
+            flux -= self._h_from_h * self.jump(hz, self.sign_h)
+        ex_r, ex_s = self._ref_grad(ex)
+        ey_r, ey_s = self._ref_grad(ey)
+        curl = (self._ry * ex_r + self._sy * ex_s
+                - self._rx * ey_r - self._sx * ey_s)
+        return self._inv_mu * curl + self._lift(flux)
 
     def rhs(self, ex, ey, hz):
         """Full semi-discrete right-hand side (rEx, rEy, rHz)."""
-        f_ex, f_ey, f_hz = self._fluxes(ex, ey, hz)
-        a_x = self._grad_y(hz) + self._lift(f_ex)
-        a_y = -self._grad_x(hz) + self._lift(f_ey)
-        r_hz = self._inv_mu * (self._grad_y(ex) - self._grad_x(ey) + self._lift(f_hz))
-        return (self._ie00 * a_x + self._ie01 * a_y,
-                self._ie10 * a_x + self._ie11 * a_y,
-                r_hz)
-
-
-def gather_traces(state, op: SpatialOperator, elem_index: int) -> TraceData:
-    """Two-sided traces of one element's faces, boundary ghosts included."""
-    minus, plus = op.traces_all(state.Ex, state.Ey, state.Hz)
-    k = int(elem_index)
-    return TraceData(
-        ex_minus=minus[0][k], ey_minus=minus[1][k], hz_minus=minus[2][k],
-        ex_plus=plus[0][k], ey_plus=plus[1][k], hz_plus=plus[2][k],
-        alpha_face=op.alpha_face[k],
-    )
-
-
-def spatial_rhs(state, op: SpatialOperator):
-    """Semi-discrete RHS evaluated at a field state."""
-    return op.rhs(state.Ex, state.Ey, state.Hz)
+        return (*self.rhs_e(ex, ey, hz), self.rhs_h(ex, ey, hz))

@@ -37,9 +37,11 @@ DT_CAP = 10.0
 BENCHMARK_EPS = PermittivityTensor(5.0, 1.0, 1.0, 3.0)
 
 
-# Stable staggered runs keep max(energy)/initial below ~1.4 even right at
-# the stability boundary; unstable runs jump past 20 within T=1 on every
-# benchmark cell. 5.0 splits the gap with a wide margin on both sides.
+# Verdict threshold on max(energy)/initial. On the restricted benchmark
+# grid (cells 5/10/20, N 1/2, PEC/central and SM/upwind, T = 1) the
+# largest stable peak measured was about 4.85 and the smallest unstable
+# peak about 5.14 (perfbench/README.md), so the margin on either side is
+# thin.
 DEFAULT_BOUNDED_FACTOR = 5.0
 
 
@@ -88,15 +90,14 @@ def classify_stability(dt: float, case: StabilityCase) -> bool:
     """Run the case to its final time; True iff the energy stayed bounded.
 
     Bounded means the energy never exceeded bounded_factor times its
-    initial value. The bounded factor sits far above the staggered
-    scheme's benign energy oscillation (< 1.4x in practice) and far
-    below the geometric growth of an unstable run. A dt too large to
-    complete even one step before final_time proves nothing and
-    classifies as unstable.
+    initial value (see DEFAULT_BOUNDED_FACTOR for the measured margins).
+    The run stops at the first energy above that, since the verdict is
+    then settled. A dt too large to complete even one step before
+    final_time proves nothing and classifies as unstable.
     """
     config = RunConfig(dt=dt, final_time=case.final_time,
                        record_energy_every=1,
-                       blowup_factor=case.blowup_factor)
+                       blowup_factor=min(case.blowup_factor, case.bounded_factor))
     if config.n_steps == 0:
         return False
     state0 = initial_conditions(case.initial, case.mesh, case.elem,

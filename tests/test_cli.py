@@ -123,6 +123,20 @@ def test_dtmax_sweep_command(tmp_path, capsys):
     assert "dt_max" in captured and "theory bound" in captured
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--threads", "2"],
+    ["bound", "--tol", "0.1"],
+    ["bound", "--threads", "2"],
+    ["dtmax-sweep", "--threads", "2"],
+])
+def test_unused_flags_are_refused(tmp_path, capsys, argv):
+    cfg = write(tmp_path, "run.cfg", PEC_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", cfg, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_table_command(tmp_path, capsys):
     spec = write(tmp_path, "table.cfg", """\
 [sweep]

@@ -10,10 +10,8 @@ from dgtd import (
     SpatialOperator,
     boundary_ghost,
     build_reference_element,
-    gather_traces,
     mesh_from_arrays,
     numerical_flux,
-    spatial_rhs,
     structured_square_mesh,
 )
 from helpers import DenseRhsOracle, random_spd_tensor
@@ -47,37 +45,33 @@ def test_continuous_field_has_zero_interior_jumps():
     op = make_op(mesh, order=3)
     # globally continuous polynomial of degree <= N
     f = lambda x, y: 1.3 + 0.4 * x - 0.9 * y + 0.25 * x * y + x**2
-    state = FieldState(f(op.x, op.y), 2.0 * f(op.x, op.y), f(op.x, op.y) - 1.0,
-                       dt=0.1)
-    for k in range(mesh.n_elements):
-        traces = gather_traces(state, op, k)
-        interior = mesh.neighbor[k] >= 0
-        assert np.abs(traces.jump_ex[interior]).max() < 1e-12
-        assert np.abs(traces.jump_ey[interior]).max() < 1e-12
-        assert np.abs(traces.jump_hz[interior]).max() < 1e-12
+    interior = mesh.neighbor >= 0
+    for u, sign in ((f(op.x, op.y), op.sign_e), (2.0 * f(op.x, op.y), op.sign_e),
+                    (f(op.x, op.y) - 1.0, op.sign_h)):
+        assert np.abs(op.jump(u, sign)[interior]).max() < 1e-12
 
 
 def test_interior_trace_is_nodal_restriction():
+    # with every other element zero and the zero Silver-Muller ghost, the
+    # jump on element k's faces is its own trace
     mesh = structured_square_mesh(2)
-    op = make_op(mesh, order=2)
+    op = make_op(mesh, order=2, bc="SM")
     rng = np.random.default_rng(0)
     state = random_state(rng, op)
     k = 3
-    traces = gather_traces(state, op, k)
     fm = op.elem.face_nodes
-    np.testing.assert_allclose(traces.ex_minus, state.Ex[k][fm], atol=1e-13)
-    np.testing.assert_allclose(traces.hz_minus, state.Hz[k][fm], atol=1e-13)
+    for u, sign in ((state.Ex, op.sign_e), (state.Hz, op.sign_h)):
+        alone = np.zeros_like(u)
+        alone[k] = u[k]
+        np.testing.assert_allclose(op.jump(alone, sign)[k], u[k][fm], atol=1e-13)
 
 
 def test_piecewise_constant_jump_value():
     mesh = structured_square_mesh(1)  # two triangles, one shared edge
     op = make_op(mesh, order=1)
     hz = np.array([[1.0, 1.0, 1.0], [3.0, 3.0, 3.0]])
-    zeros = np.zeros_like(hz)
-    state = FieldState(zeros, zeros.copy(), hz, dt=0.1)
     k, f = 0, int(np.flatnonzero(mesh.neighbor[0] >= 0)[0])
-    traces = gather_traces(state, op, k)
-    np.testing.assert_allclose(traces.jump_hz[f], -2.0, atol=1e-14)
+    np.testing.assert_allclose(op.jump(hz, op.sign_h)[k, f], -2.0, atol=1e-14)
 
 
 def test_jump_antisymmetry_between_sides():
@@ -85,18 +79,18 @@ def test_jump_antisymmetry_between_sides():
     op = make_op(mesh, order=2)
     rng = np.random.default_rng(5)
     state = random_state(rng, op)
+    jump_ex = op.jump(state.Ex, op.sign_e)
+    jump_hz = op.jump(state.Hz, op.sign_h)
     for k in range(mesh.n_elements):
         for f in range(3):
             k2 = mesh.neighbor[k, f]
             if k2 < 0:
                 continue
             f2 = mesh.neighbor_face[k, f]
-            tk = gather_traces(state, op, k)
-            t2 = gather_traces(state, op, k2)
             # same physical points traversed in opposite order
-            np.testing.assert_allclose(tk.jump_ex[f], -t2.jump_ex[f2][::-1],
+            np.testing.assert_allclose(jump_ex[k, f], -jump_ex[k2, f2][::-1],
                                        atol=1e-13)
-            np.testing.assert_allclose(tk.jump_hz[f], -t2.jump_hz[f2][::-1],
+            np.testing.assert_allclose(jump_hz[k, f], -jump_hz[k2, f2][::-1],
                                        atol=1e-13)
 
 
@@ -349,11 +343,12 @@ def test_rhs_matches_dense_quadrature_oracle(order, bc):
                 assert np.abs(g - w).max() <= 1e-10 * scale
 
 
-def test_spatial_rhs_wrapper_matches_method():
-    op = make_op(structured_square_mesh(2), order=1)
+def test_rhs_is_the_two_half_step_kernels():
+    op = make_op(structured_square_mesh(2), order=1, alpha=0.5, bc="SM")
     rng = np.random.default_rng(9)
     state = random_state(rng, op)
-    via_fn = spatial_rhs(state, op)
-    via_method = op.rhs(state.Ex, state.Ey, state.Hz)
-    for a, b in zip(via_fn, via_method):
+    full = op.rhs(state.Ex, state.Ey, state.Hz)
+    halves = (*op.rhs_e(state.Ex, state.Ey, state.Hz),
+              op.rhs_h(state.Ex, state.Ey, state.Hz))
+    for a, b in zip(full, halves):
         np.testing.assert_array_equal(a, b)

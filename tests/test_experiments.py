@@ -30,6 +30,28 @@ def test_classify_reference_bracket(coarse_case):
     assert classify_stability(0.20, coarse_case) is False
 
 
+def test_unstable_run_stops_at_bounded_factor(coarse_case, monkeypatch):
+    import dgtd.experiments as experiments
+
+    real_run = experiments.run
+    runs = []
+
+    def recording_run(state0, op, config):
+        result = real_run(state0, op, config)
+        runs.append((result, config))
+        return result
+
+    monkeypatch.setattr(experiments, "run", recording_run)
+    # above the coarse case's dt_max (~0.18): 4 steps to T = 1
+    assert classify_stability(0.23, coarse_case) is False
+    (result, config), = runs
+    energy = result.energy[:, 2] / result.energy[0, 2]
+    assert not result.completed
+    assert result.blowup_step < config.n_steps
+    assert energy[-1] > coarse_case.bounded_factor
+    assert energy[:-1].max() <= coarse_case.bounded_factor
+
+
 def test_find_dtmax_coarsest_case(coarse_case):
     search = find_dtmax(coarse_case, tol=1e-2)
     assert search.stable_at_theory

@@ -84,23 +84,26 @@ def test_step_is_linear_in_state():
         assert np.abs(got - (a * pu + b * pv)).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("bc,alpha", [("PEC", 0.0), ("PMC", 0.5), ("SM", 1.0)])
+@pytest.mark.parametrize("bc,alpha", [(bc, alpha) for bc in ("PEC", "PMC", "SM")
+                                      for alpha in (0.0, 0.5, 1.0)])
 def test_step_matches_dense_oracle(bc, alpha):
-    mesh = structured_square_mesh(1)
-    elem = build_reference_element(2)
+    # 2x2 cells: interior and boundary faces, and elements touching both
+    mesh = structured_square_mesh(2)
     rng = np.random.default_rng(8)
     mats = MaterialMap.uniform(mesh.n_elements, EPS_ANISO, 1.3)
     flux = FluxParams(alpha=alpha, bc=bc)
-    op = SpatialOperator(mesh, mats, elem, flux)
-    oracle = DenseRhsOracle(mesh, mats, elem, flux)
-    shape = (mesh.n_elements, elem.node_count)
-    dt = 0.01
-    state = FieldState(*(rng.standard_normal(shape) for _ in range(3)), dt=dt)
-    got = step(state, op, dt)
-    ex, ey, hz = oracle.step(state.Ex, state.Ey, state.Hz, dt)
-    for a, b in ((got.Ex, ex), (got.Ey, ey), (got.Hz, hz)):
-        scale = max(np.abs(b).max(), 1.0)
-        assert np.abs(a - b).max() <= 1e-12 * scale
+    for order in (1, 2, 3):
+        elem = build_reference_element(order)
+        op = SpatialOperator(mesh, mats, elem, flux)
+        oracle = DenseRhsOracle(mesh, mats, elem, flux)
+        shape = (mesh.n_elements, elem.node_count)
+        dt = 0.01
+        state = FieldState(*(rng.standard_normal(shape) for _ in range(3)), dt=dt)
+        got = step(state, op, dt)
+        ex, ey, hz = oracle.step(state.Ex, state.Ey, state.Hz, dt)
+        for a, b in ((got.Ex, ex), (got.Ey, ey), (got.Hz, hz)):
+            scale = max(np.abs(b).max(), 1.0)
+            assert np.abs(a - b).max() <= 1e-12 * scale
 
 
 def test_discrete_energy_zero_state():
