@@ -27,7 +27,7 @@ for alpha, flux in ((0.0, "central"), (1.0, "upwind")):
         print(f"{row.h_min:8.4f} {row.order:2d} {row.dt_max:10.5f} "
               f"{row.c:7.3f} {row.theory_bound:10.2e}")
 
-    rows = run_table(spec, threads=2, progress=show)
+    rows = run_table(spec, progress=show)
     path = table_filename(spec.bc, spec.alpha)
     write_table_csv(rows, path)
     print(f"written to {path}\n")

@@ -72,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="regenerate a CFL table as CSV")
     common(p_table)
     tolerance(p_table)
-    p_table.add_argument("--threads", type=int, default=1,
-                         help="worker threads for independent cases")
     return parser
 
 
@@ -173,8 +171,7 @@ def _cmd_dtmax(args) -> int:
     mesh, materials, elem, flux = _prepare(cfg)
     case = StabilityCase(mesh, materials, cfg.order, cfg.alpha, cfg.bc,
                          initial=cfg.initial_condition(),
-                         final_time=cfg.final_time,
-                         blowup_factor=cfg.blowup_factor)
+                         final_time=cfg.final_time)
     tol = args.tol if args.tol is not None else 1e-2
     search = find_dtmax(case, tol=tol)
     c = cfl_constant(search.dt_max, cfg.order, mesh.h_min)
@@ -198,7 +195,7 @@ def _cmd_table(args) -> int:
         else:
             print(f"h_min {row.h_min:.4f}  N {row.order}  FAILED: {row.error}")
 
-    rows = run_table(spec, threads=args.threads, progress=progress)
+    rows = run_table(spec, progress=progress)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, table_filename(spec.bc, spec.alpha))
     from .experiments import write_table_csv

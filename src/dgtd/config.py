@@ -298,17 +298,26 @@ def parse_config(path) -> SimulationConfig:
     return cfg
 
 
+SWEEP_KEYS = ("cells", "orders", "flux", "alpha", "bc", "tol", "final_time",
+              "diagonal", "initial", "bounded_factor")
+
+
 def parse_table_spec(path) -> SweepSpec:
     """Parse a `[sweep]` spec file for table generation."""
     reader = _Reader(path)
     if not reader.has("sweep"):
         raise ConfigError(f"{path}: missing [sweep] section")
+    unknown = sorted(set(reader.parser.options("sweep")) - set(SWEEP_KEYS))
+    if unknown:
+        raise ConfigError(f"{path}: unknown [sweep] keys: {', '.join(unknown)}")
 
     cells = reader.get_list("sweep", "cells", int, required=True)
     orders = reader.get_list("sweep", "orders", int, required=True)
 
     flux = reader.get("sweep", "flux")
     if flux is not None:
+        if reader.has("sweep", "alpha"):
+            raise ConfigError(f"{path}: give [sweep] flux or alpha, not both")
         if flux not in ("central", "upwind"):
             raise ConfigError(f"{path}: flux must be central or upwind")
         alpha = 0.0 if flux == "central" else 1.0
@@ -332,8 +341,6 @@ def parse_table_spec(path) -> SweepSpec:
         eps=cfg.eps,
         mu=cfg.mu,
         initial=reader.get("sweep", "initial"),
-        blowup_factor=reader.get_float("sweep", "blowup_factor",
-                                       DEFAULT_BLOWUP_FACTOR),
         bounded_factor=reader.get_float("sweep", "bounded_factor",
                                         DEFAULT_BOUNDED_FACTOR),
     )

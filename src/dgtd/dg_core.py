@@ -145,8 +145,7 @@ class SpatialOperator:
     """Precomputed spatial DG operator for one (mesh, materials, order, flux).
 
     Evaluation is a pure function of the field arrays; instances are
-    read-only after construction, so element-wise work may be shared
-    across threads freely.
+    read-only after construction.
     """
 
     def __init__(self, mesh: Mesh2D, materials: MaterialMap,

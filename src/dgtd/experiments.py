@@ -3,15 +3,15 @@ constants, and regenerate the stability tables as CSV.
 
 A "case" fixes everything except the time step: mesh, materials, order,
 flux parameters and initial data, integrated to the final time. The
-stable/unstable classification of a given dt is a complete run that
-either finishes with bounded energy or trips the blowup detector. The
-maximum stable step is bracketed by geometric expansion starting from
-the theoretical bound and then bisected to a relative tolerance.
+stable/unstable classification of a given dt is a run that either
+reaches the final time with bounded energy or stops at the first energy
+above the bound. The maximum stable step is bracketed by doubling or
+halving from the theoretical bound and then bisected to a relative
+tolerance.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +20,6 @@ import numpy as np
 from .dg_core import FluxParams, SpatialOperator, normalize_bc
 from .errors import SweepError
 from .leapfrog import (
-    DEFAULT_BLOWUP_FACTOR,
     RunConfig,
     default_initial_condition,
     initial_conditions,
@@ -32,6 +31,7 @@ from .reference_element import build_reference_element
 from .stability import StabilityConstants, theoretical_bound
 
 DT_CAP = 10.0
+MAX_HALVINGS = 60
 
 # constant anisotropic tensor used throughout the benchmark sweeps
 BENCHMARK_EPS = PermittivityTensor(5.0, 1.0, 1.0, 3.0)
@@ -56,7 +56,6 @@ class StabilityCase:
     bc: str
     initial: str | Callable | None = None
     final_time: float = 1.0
-    blowup_factor: float = DEFAULT_BLOWUP_FACTOR
     bounded_factor: float = DEFAULT_BOUNDED_FACTOR
 
     def __post_init__(self):
@@ -91,22 +90,19 @@ def classify_stability(dt: float, case: StabilityCase) -> bool:
 
     Bounded means the energy never exceeded bounded_factor times its
     initial value (see DEFAULT_BOUNDED_FACTOR for the measured margins).
-    The run stops at the first energy above that, since the verdict is
-    then settled. A dt too large to complete even one step before
-    final_time proves nothing and classifies as unstable.
+    The energy is checked after every step and the run stops at the first
+    value above that or the first non-finite one, so a run that completes
+    is stable. A dt too large to complete even one step before final_time
+    proves nothing and classifies as unstable.
     """
     config = RunConfig(dt=dt, final_time=case.final_time,
                        record_energy_every=1,
-                       blowup_factor=min(case.blowup_factor, case.bounded_factor))
+                       blowup_factor=case.bounded_factor)
     if config.n_steps == 0:
         return False
     state0 = initial_conditions(case.initial, case.mesh, case.elem,
                                 case.materials, dt)
-    result = run(state0, case.op, config)
-    if not result.completed:
-        return False
-    energies = result.energy[:, 2]
-    return bool(energies.max() <= case.bounded_factor * energies[0])
+    return run(state0, case.op, config).completed
 
 
 @dataclass
@@ -122,43 +118,30 @@ def find_dtmax(case: StabilityCase, tol: float = 1e-2,
                start: float | None = None) -> DtMaxSearch:
     """Largest stable time step, located by bracketing plus bisection.
 
-    Starts from the theoretical bound (or `start`), doubles until an
-    unstable step is found, then bisects the stable/unstable bracket to
-    the relative tolerance. Returns the last stable iterate.
+    Starts from the theoretical bound (or `start`) and steps away from
+    the first verdict, doubling while stable (up to DT_CAP) or halving
+    while unstable (at most MAX_HALVINGS times), until the verdict flips.
+    Then bisects the stable/unstable bracket to the relative tolerance.
+    Returns the last stable iterate.
     """
     if not 0.0 < tol <= 0.1:
         raise SweepError(f"tolerance must lie in (0, 0.1], got {tol}")
     theory = case.theory().dt_bound
     dt = start if start is not None else theory
-    runs = 0
-
     stable_at_theory = classify_stability(dt, case)
-    runs += 1
-    lo = hi = None
-    if stable_at_theory:
-        lo = dt
-        while dt < DT_CAP:
-            dt *= 2.0
-            runs += 1
-            if classify_stability(dt, case):
-                lo = dt
-            else:
-                hi = dt
-                break
-        if hi is None:
+    runs = 1
+    lo, hi = (dt, None) if stable_at_theory else (None, dt)
+    while lo is None or hi is None:
+        if hi is None and dt >= DT_CAP:
             raise SweepError(f"no unstable time step found below the cap {DT_CAP}")
-    else:
-        # sufficient bound violated (or custom start too big): shrink first
-        hi = dt
-        for _ in range(60):
-            dt *= 0.5
-            runs += 1
-            if classify_stability(dt, case):
-                lo = dt
-                break
-            hi = dt
-        if lo is None:
+        if lo is None and runs > MAX_HALVINGS:
             raise SweepError("no stable time step found while shrinking")
+        dt *= 2.0 if stable_at_theory else 0.5
+        runs += 1
+        if classify_stability(dt, case):
+            lo = dt
+        else:
+            hi = dt
 
     iterations = 0
     while (hi - lo) > tol * lo:
@@ -192,7 +175,6 @@ class SweepSpec:
     eps: PermittivityTensor = BENCHMARK_EPS
     mu: float = 1.0
     initial: str | None = None  # None: pec_cosine, or sm_sine under SM
-    blowup_factor: float = DEFAULT_BLOWUP_FACTOR
     bounded_factor: float = DEFAULT_BOUNDED_FACTOR
 
     def __post_init__(self):
@@ -206,7 +188,6 @@ class SweepRow:
     dt_max: float = np.nan
     c: float = np.nan
     theory_bound: float = np.nan
-    iterations: int = 0
     error: str | None = None
 
 
@@ -229,7 +210,6 @@ def _run_one(spec: SweepSpec, cells: int, order: int) -> SweepRow:
                           eps=spec.eps, mu=spec.mu)
     if spec.initial is not None:
         case.initial = spec.initial
-    case.blowup_factor = spec.blowup_factor
     case.bounded_factor = spec.bounded_factor
     row = SweepRow(h_min=case.mesh.h_min, order=order)
     try:
@@ -237,29 +217,20 @@ def _run_one(spec: SweepSpec, cells: int, order: int) -> SweepRow:
         row.dt_max = search.dt_max
         row.c = cfl_constant(search.dt_max, order, case.mesh.h_min)
         row.theory_bound = search.theory_bound
-        row.iterations = search.iterations
     except Exception as exc:  # record, keep the rest of the table going
         row.error = f"{type(exc).__name__}: {exc}"
     return row
 
 
-def run_table(spec: SweepSpec, threads: int = 1,
+def run_table(spec: SweepSpec,
               progress: Callable[[SweepRow], None] | None = None) -> list[SweepRow]:
     """Run the whole (cells x orders) grid; failures are recorded per row."""
-    jobs = [(cells, order) for cells in spec.cells for order in spec.orders]
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda j: _run_one(spec, *j), jobs))
-        if progress is not None:
-            for row in rows:
-                progress(row)
-    else:
-        rows = []
-        for job in jobs:
-            row = _run_one(spec, *job)
-            rows.append(row)
+    rows = []
+    for cells in spec.cells:
+        for order in spec.orders:
+            rows.append(_run_one(spec, cells, order))
             if progress is not None:
-                progress(row)
+                progress(rows[-1])
     return rows
 
 

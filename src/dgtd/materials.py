@@ -155,14 +155,12 @@ class MaterialMap:
 
 @dataclass(frozen=True)
 class FaceImpedance:
-    """Impedance/conductance/speed of both sides of every edge, (K,3)."""
+    """Impedance and conductance of both sides of every edge, (K,3)."""
 
     z_minus: np.ndarray
     z_plus: np.ndarray
     y_minus: np.ndarray
     y_plus: np.ndarray
-    c_minus: np.ndarray
-    c_plus: np.ndarray
 
     @property
     def z_min(self) -> float:
@@ -189,13 +187,10 @@ def face_impedances(materials: MaterialMap, mesh: Mesh2D) -> FaceImpedance:
     nbr = np.where(interior, mesh.neighbor, 0)
     nbrf = np.where(interior, mesh.neighbor_face, 0)
     z_plus = np.where(interior, z_minus[nbr, nbrf], z_minus)
-    c_plus = np.where(interior, c_minus[nbr, nbrf], c_minus)
 
     return FaceImpedance(
         z_minus=z_minus,
         z_plus=z_plus,
         y_minus=1.0 / z_minus,
         y_plus=1.0 / z_plus,
-        c_minus=c_minus,
-        c_plus=c_plus,
     )

@@ -30,7 +30,6 @@ class Mesh2D:
     triangles: np.ndarray      # (K, 3) int, counterclockwise
     neighbor: np.ndarray       # (K, 3) int, adjacent element or -1 on boundary
     neighbor_face: np.ndarray  # (K, 3) int, adjacent local edge or -1
-    boundary_marker: np.ndarray  # (K, 3) int, -1 interior, label 0 on boundary
     normals: np.ndarray        # (K, 3, 2) outward unit normals
     edge_length: np.ndarray    # (K, 3)
     area: np.ndarray           # (K,)
@@ -62,11 +61,6 @@ class Mesh2D:
     def shape_regularity(self) -> float:
         """max over elements of h_k / tau_k."""
         return float((self.h_k / self.tau_k).max())
-
-    @property
-    def is_boundary(self) -> np.ndarray:
-        """(K, 3) boolean mask of boundary edges."""
-        return self.neighbor < 0
 
     @property
     def boundary_edge_count(self) -> int:
@@ -186,15 +180,11 @@ def mesh_from_arrays(vertices, triangles, reorient: bool = False) -> Mesh2D:
     h_k = edge_length.max(axis=1)
     tau_k = 4.0 * area / edge_length.sum(axis=1)
 
-    # single boundary label for now; the field leaves room for several
-    boundary_marker = np.where(neighbor < 0, 0, -1)
-
     return Mesh2D(
         vertices=vertices,
         triangles=triangles,
         neighbor=neighbor,
         neighbor_face=neighbor_face,
-        boundary_marker=boundary_marker,
         normals=normals,
         edge_length=edge_length,
         area=area,

@@ -128,6 +128,7 @@ def test_dtmax_sweep_command(tmp_path, capsys):
     ["bound", "--tol", "0.1"],
     ["bound", "--threads", "2"],
     ["dtmax-sweep", "--threads", "2"],
+    ["table", "--threads", "2"],
 ])
 def test_unused_flags_are_refused(tmp_path, capsys, argv):
     cfg = write(tmp_path, "run.cfg", PEC_CONFIG)
@@ -185,6 +186,12 @@ def test_parse_table_spec_errors(tmp_path):
     with pytest.raises(ConfigError):
         parse_table_spec(write(tmp_path, "t2.cfg",
                                "[sweep]\ncells = 5\norders = 1\nbc = PEC\nflux = fancy\n"))
+    with pytest.raises(ConfigError, match="blowup_factor"):
+        parse_table_spec(write(tmp_path, "t4.cfg",
+                               "[sweep]\ncells = 5\norders = 1\nbc = PEC\nblowup_factor = 1e6\n"))
+    with pytest.raises(ConfigError, match="not both"):
+        parse_table_spec(write(tmp_path, "t5.cfg",
+                               "[sweep]\ncells = 5\norders = 1\nbc = PEC\nflux = upwind\nalpha = 0.5\n"))
     spec = parse_table_spec(write(tmp_path, "t3.cfg", """\
 [sweep]
 cells = 5, 10

@@ -10,6 +10,7 @@ from dgtd import (
     run_table,
     write_table_csv,
 )
+from dgtd.errors import SweepError
 from dgtd.experiments import flux_name, table_filename
 
 
@@ -76,6 +77,54 @@ def test_find_dtmax_custom_start_converges(coarse_case):
     assert search.dt_max == pytest.approx(reference.dt_max, rel=0.05)
 
 
+@pytest.mark.parametrize("start, runs", [(None, 13), (1.0, 11)])
+def test_find_dtmax_classified_sequence(coarse_case, monkeypatch, start, runs):
+    import dgtd.experiments as experiments
+
+    real_classify = experiments.classify_stability
+    calls = []
+
+    def recording_classify(dt, case):
+        calls.append((dt, real_classify(dt, case)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(experiments, "classify_stability", recording_classify)
+    search = find_dtmax(coarse_case, tol=1e-2, start=start)
+    assert search.runs == len(calls) == runs
+    dt0, first = calls[0]
+    assert dt0 == (start if start is not None else search.theory_bound)
+    # start * 2^+-k until the first flip ...
+    k = 1
+    while calls[k][1] == first:
+        assert calls[k][0] == dt0 * (2.0 if first else 0.5) ** k
+        k += 1
+    assert calls[k][0] == dt0 * (2.0 if first else 0.5) ** k
+    lo, hi = sorted((calls[k - 1][0], calls[k][0]))
+    # ... then midpoints of the current bracket
+    for dt, stable in calls[k + 1:]:
+        assert dt == 0.5 * (lo + hi)
+        lo, hi = (dt, hi) if stable else (lo, dt)
+    assert search.dt_max == lo
+    assert hi - lo <= 1e-2 * lo
+    assert search.iterations == len(calls) - k - 1
+
+
+@pytest.mark.parametrize("verdict, message", [(True, "cap"), (False, "shrinking")])
+def test_find_dtmax_bracketing_limits(coarse_case, monkeypatch, verdict, message):
+    import dgtd.experiments as experiments
+
+    dts = []
+    monkeypatch.setattr(experiments, "classify_stability",
+                        lambda dt, case: dts.append(dt) or verdict)
+    with pytest.raises(SweepError, match=message):
+        find_dtmax(coarse_case, tol=1e-2, start=1.0)
+    # doubling stops once dt reaches DT_CAP; halving after MAX_HALVINGS steps
+    if verdict:
+        assert dts == [2.0 ** k for k in range(5)]
+    else:
+        assert dts == [0.5 ** k for k in range(experiments.MAX_HALVINGS + 1)]
+
+
 def test_cfl_constant_definition():
     assert cfl_constant(0.17, 1, 0.5657) == pytest.approx(1.803, abs=2e-3)
     assert cfl_constant(0.05, 2, 0.2828) == pytest.approx(2.12, abs=5e-3)
@@ -110,14 +159,6 @@ def test_run_table_grid_and_csv(tmp_path):
 def test_run_table_empty_orders():
     spec = SweepSpec(cells=[5], orders=[], alpha=0.0, bc="PEC")
     assert run_table(spec) == []
-
-
-def test_run_table_threaded_matches_serial():
-    spec = SweepSpec(cells=[5], orders=[1, 2], alpha=0.0, bc="SM", tol=5e-2)
-    serial = run_table(spec, threads=1)
-    threaded = run_table(spec, threads=2)
-    assert [(r.h_min, r.order, r.dt_max) for r in serial] == \
-        [(r.h_min, r.order, r.dt_max) for r in threaded]
 
 
 def test_flux_names():
