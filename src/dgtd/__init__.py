@@ -68,6 +68,7 @@ from .stability import (
     beta_params,
     calibrate_c_inv,
     calibrate_c_tau,
+    spectral_dt,
     stability_bound_2d,
     stability_bound_3d,
     theoretical_bound,

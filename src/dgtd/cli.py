@@ -179,6 +179,7 @@ def _cmd_dtmax(args) -> int:
     print(f"dt_max       = {search.dt_max!r}")
     print(f"C            = {c!r}")
     print(f"theory bound = {search.theory_bound!r}")
+    print(f"spectral dt  = {search.spectral_dt!r}")
     print(f"bisection iterations = {search.iterations}, runs = {search.runs}")
     return EXIT_OK
 

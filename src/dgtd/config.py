@@ -172,6 +172,16 @@ class _Reader:
         self.parser = parser
         self.path = path
 
+    def reject_unknown(self, known: dict[str, tuple[str, ...]]) -> None:
+        """ConfigError on any section or key outside `known`."""
+        for section in self.parser.sections():
+            if section not in known:
+                raise ConfigError(f"{self.path}: unknown section [{section}]")
+            unknown = sorted(set(self.parser.options(section)) - set(known[section]))
+            if unknown:
+                raise ConfigError(
+                    f"{self.path}: unknown [{section}] keys: {', '.join(unknown)}")
+
     def has(self, section: str, key: str | None = None) -> bool:
         if key is None:
             return self.parser.has_section(section)
@@ -243,9 +253,23 @@ def _read_material(reader: _Reader, cfg: SimulationConfig):
     cfg.mu = reader.get_float("material", "mu", 1.0)
 
 
+MATERIAL_KEYS = ("table", "eps_xx", "eps_xy", "eps_yx", "eps_yy", "mu")
+CONFIG_KEYS = {
+    "mesh": ("kind", "cells", "xmin", "xmax", "ymin", "ymax", "diagonal",
+             "path", "reorient"),
+    "material": MATERIAL_KEYS,
+    "discretization": ("order", "alpha", "bc"),
+    "time": ("dt", "safety", "final_time"),
+    "initial": ("name", "hz"),
+    "output": ("energy_every", "fields", "blowup_factor"),
+}
+
+
 def parse_config(path) -> SimulationConfig:
-    """Parse and validate a simulation config file."""
+    """Parse and validate a simulation config file; unknown sections and
+    keys are errors, not silently ignored."""
     reader = _Reader(path)
+    reader.reject_unknown(CONFIG_KEYS)
     cfg = SimulationConfig()
 
     cfg.mesh_kind = reader.get("mesh", "kind", "structured")
@@ -307,9 +331,7 @@ def parse_table_spec(path) -> SweepSpec:
     reader = _Reader(path)
     if not reader.has("sweep"):
         raise ConfigError(f"{path}: missing [sweep] section")
-    unknown = sorted(set(reader.parser.options("sweep")) - set(SWEEP_KEYS))
-    if unknown:
-        raise ConfigError(f"{path}: unknown [sweep] keys: {', '.join(unknown)}")
+    reader.reject_unknown({"sweep": SWEEP_KEYS, "material": MATERIAL_KEYS})
 
     cells = reader.get_list("sweep", "cells", int, required=True)
     orders = reader.get_list("sweep", "orders", int, required=True)

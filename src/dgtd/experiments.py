@@ -5,17 +5,20 @@ A "case" fixes everything except the time step: mesh, materials, order,
 flux parameters and initial data, integrated to the final time. The
 stable/unstable classification of a given dt is a run that either
 reaches the final time with bounded energy or stops at the first energy
-above the bound. The maximum stable step is bracketed by doubling or
-halving from the theoretical bound and then bisected to a relative
-tolerance.
+above the bound. Each search first classifies the theoretical bound as
+an explicit sufficiency check. The maximum stable step is then bracketed
+by doubling or halving from the spectral leap-frog limit of the
+operator's central part and bisected to a relative tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from .dg_core import FluxParams, SpatialOperator, normalize_bc
 from .errors import SweepError
@@ -28,7 +31,7 @@ from .leapfrog import (
 from .materials import MaterialMap, PermittivityTensor
 from .mesh import Mesh2D, structured_square_mesh
 from .reference_element import build_reference_element
-from .stability import StabilityConstants, theoretical_bound
+from .stability import StabilityConstants, spectral_dt, theoretical_bound
 
 DT_CAP = 10.0
 MAX_HALVINGS = 60
@@ -111,6 +114,7 @@ class DtMaxSearch:
     iterations: int
     runs: int
     theory_bound: float
+    spectral_dt: float  # nan if ARPACK did not converge
     stable_at_theory: bool
 
 
@@ -118,25 +122,41 @@ def find_dtmax(case: StabilityCase, tol: float = 1e-2,
                start: float | None = None) -> DtMaxSearch:
     """Largest stable time step, located by bracketing plus bisection.
 
-    Starts from the theoretical bound (or `start`) and steps away from
-    the first verdict, doubling while stable (up to DT_CAP) or halving
-    while unstable (at most MAX_HALVINGS times), until the verdict flips.
-    Then bisects the stable/unstable bracket to the relative tolerance.
-    Returns the last stable iterate.
+    First classifies the theoretical bound: `stable_at_theory` is that
+    verdict, whatever the start. Bracketing starts from `start` or, by
+    default, from `spectral_dt(case.op)` (the bound if ARPACK does not
+    converge), and steps away from the verdict there, doubling while
+    stable (up to DT_CAP) or halving while unstable (at most
+    MAX_HALVINGS times), until the verdict flips. Then bisects the
+    stable/unstable bracket to the relative tolerance. Returns the last
+    stable iterate.
     """
     if not 0.0 < tol <= 0.1:
         raise SweepError(f"tolerance must lie in (0, 0.1], got {tol}")
     theory = case.theory().dt_bound
-    dt = start if start is not None else theory
-    stable_at_theory = classify_stability(dt, case)
+    stable_at_theory = classify_stability(theory, case)
     runs = 1
-    lo, hi = (dt, None) if stable_at_theory else (None, dt)
+    try:
+        estimate = spectral_dt(case.op)
+    except ArpackNoConvergence:
+        estimate = math.nan
+    if start is None:
+        start = theory if math.isnan(estimate) else estimate
+    dt = start
+    if dt == theory:
+        stable = stable_at_theory
+    else:
+        stable = classify_stability(dt, case)
+        runs += 1
+    lo, hi = (dt, None) if stable else (None, dt)
+    steps = 0
     while lo is None or hi is None:
         if hi is None and dt >= DT_CAP:
             raise SweepError(f"no unstable time step found below the cap {DT_CAP}")
-        if lo is None and runs > MAX_HALVINGS:
+        if lo is None and steps >= MAX_HALVINGS:
             raise SweepError("no stable time step found while shrinking")
-        dt *= 2.0 if stable_at_theory else 0.5
+        dt *= 2.0 if stable else 0.5
+        steps += 1
         runs += 1
         if classify_stability(dt, case):
             lo = dt
@@ -153,7 +173,8 @@ def find_dtmax(case: StabilityCase, tol: float = 1e-2,
         else:
             hi = mid
     return DtMaxSearch(dt_max=lo, iterations=iterations, runs=runs,
-                       theory_bound=theory, stable_at_theory=stable_at_theory)
+                       theory_bound=theory, spectral_dt=estimate,
+                       stable_at_theory=stable_at_theory)
 
 
 def cfl_constant(dt_max: float, order: int, h_min: float) -> float:

@@ -61,7 +61,8 @@ ORDERS = (1, 2)
 
 @pytest.fixture(scope="module")
 def sweep():
-    """dt_max for all 24 grid cells, found by bisection at defaults."""
+    """dt_max for all 24 grid cells, found by bisection at defaults, with
+    the spectral estimate each search started from."""
     results = {}
     for (bc, alpha) in REFERENCE_C:
         for cells in CELLS:
@@ -72,6 +73,7 @@ def sweep():
                     "dt_max": search.dt_max,
                     "c": cfl_constant(search.dt_max, order, case.mesh.h_min),
                     "theory": search.theory_bound,
+                    "spectral": search.spectral_dt,
                     "stable_at_theory": search.stable_at_theory,
                     "h_min": case.mesh.h_min,
                 }
@@ -388,3 +390,27 @@ def test_criterion_8_convergence_order():
         summary.append(f"N={order}: {observed[0]:.2f}, {observed[1]:.2f}")
     print(f"ACCEPTANCE 8: PASS - L2 convergence orders over three refinements "
           f"({'; '.join(summary)}) all exceed N - 0.3")
+
+
+def test_criterion_9_spectral_second_method(sweep):
+    # For the central flux leap-frog is stable iff dt < spectral_dt, so the
+    # finite-time T = 1 dt_max sits at or just above it, the gap closing as
+    # the mesh is refined. Not asserted for SM: it pins alpha = 1 on
+    # boundary faces, which the central-part estimate leaves out.
+    summary = []
+    for order in ORDERS:
+        gaps = []
+        for cells in CELLS:
+            rec = sweep[("PEC", 0.0, cells, order)]
+            assert rec["dt_max"] >= rec["spectral"], (
+                f"PEC central cells={cells} N={order}: dt_max {rec['dt_max']:.6g} "
+                f"below the spectral limit {rec['spectral']:.6g}")
+            gaps.append(rec["dt_max"] / rec["spectral"] - 1.0)
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert fine <= coarse, (
+                f"PEC central N={order}: gap to the spectral limit grew under "
+                f"refinement ({', '.join(f'{100 * g:.1f}%' for g in gaps)})")
+        summary.append(f"N={order}: " + "/".join(f"{100 * g:.1f}" for g in gaps) + "%")
+    print(f"ACCEPTANCE 9: PASS - every PEC/central dt_max sits at or above the "
+          f"spectral leap-frog limit, gap over cells {'/'.join(map(str, CELLS))} "
+          f"not growing ({'; '.join(summary)})")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,9 @@ final_time = 1.0
 [initial]
 name = pec_cosine
 """
+
+
+SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def write(tmp_path, name, text):
@@ -121,6 +126,7 @@ def test_dtmax_sweep_command(tmp_path, capsys):
     assert main(["dtmax-sweep", "--config", cfg, "--tol", "0.05"]) == 0
     captured = capsys.readouterr().out
     assert "dt_max" in captured and "theory bound" in captured
+    assert "spectral dt" in captured
 
 
 @pytest.mark.parametrize("argv", [
@@ -170,6 +176,24 @@ def test_parse_config_defaults_and_errors(tmp_path):
         parse_config(str(tmp_path / "missing.cfg"))
 
 
+@pytest.mark.parametrize("extra, match", [
+    ("[output]\nbounded_factor = 1.01\n", r"unknown \[output\] keys: bounded_factor"),
+    ("[output]\nfrobnicate = 3\n", r"unknown \[output\] keys: frobnicate"),
+    ("[solver]\ncfl = 0.5\n", r"unknown section \[solver\]"),
+])
+def test_parse_config_rejects_unknown_keys(tmp_path, capsys, extra, match):
+    cfg = write(tmp_path, "run.cfg", PEC_CONFIG + extra)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(cfg)
+    assert main(["dtmax-sweep", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SHIPPED_CONFIGS.glob("*.cfg")))
+def test_shipped_configs_parse(name):
+    parse = parse_table_spec if name.startswith("table_") else parse_config
+    parse(str(SHIPPED_CONFIGS / name))
+
+
 def test_parse_config_custom_initial(tmp_path):
     text = PEC_CONFIG.replace("name = pec_cosine",
                               "name = custom\nhz = sin(pi * x) * cos(pi * y)")
@@ -189,6 +213,9 @@ def test_parse_table_spec_errors(tmp_path):
     with pytest.raises(ConfigError, match="blowup_factor"):
         parse_table_spec(write(tmp_path, "t4.cfg",
                                "[sweep]\ncells = 5\norders = 1\nbc = PEC\nblowup_factor = 1e6\n"))
+    with pytest.raises(ConfigError, match=r"unknown section \[time\]"):
+        parse_table_spec(write(tmp_path, "t6.cfg",
+                               "[sweep]\ncells = 5\norders = 1\nbc = PEC\n[time]\ndt = 0.1\n"))
     with pytest.raises(ConfigError, match="not both"):
         parse_table_spec(write(tmp_path, "t5.cfg",
                                "[sweep]\ncells = 5\norders = 1\nbc = PEC\nflux = upwind\nalpha = 0.5\n"))

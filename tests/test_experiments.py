@@ -67,18 +67,21 @@ def test_find_dtmax_deterministic(coarse_case):
     b = find_dtmax(coarse_case, tol=1e-2)
     assert a.dt_max == b.dt_max
     assert a.runs == b.runs
+    assert a.spectral_dt == b.spectral_dt
 
 
 def test_find_dtmax_custom_start_converges(coarse_case):
-    # a deliberately unstable starting guess must shrink and still bracket
+    # a deliberately unstable starting guess must shrink and still bracket;
+    # stable_at_theory stays the verdict at the bound, not at the start
     search = find_dtmax(coarse_case, tol=1e-2, start=1.0)
-    assert not search.stable_at_theory
+    assert search.stable_at_theory
+    assert not classify_stability(1.0, coarse_case)
     reference = find_dtmax(coarse_case, tol=1e-2)
     assert search.dt_max == pytest.approx(reference.dt_max, rel=0.05)
 
 
-@pytest.mark.parametrize("start, runs", [(None, 13), (1.0, 11)])
-def test_find_dtmax_classified_sequence(coarse_case, monkeypatch, start, runs):
+def _record_classified(monkeypatch):
+    """Make find_dtmax log each (dt, verdict) it classifies."""
     import dgtd.experiments as experiments
 
     real_classify = experiments.classify_stability
@@ -89,11 +92,22 @@ def test_find_dtmax_classified_sequence(coarse_case, monkeypatch, start, runs):
         return calls[-1][1]
 
     monkeypatch.setattr(experiments, "classify_stability", recording_classify)
+    return calls
+
+
+@pytest.mark.parametrize("start, runs", [(None, 10), (1.0, 12)])
+def test_find_dtmax_classified_sequence(coarse_case, monkeypatch, start, runs):
+    calls = _record_classified(monkeypatch)
     search = find_dtmax(coarse_case, tol=1e-2, start=start)
     assert search.runs == len(calls) == runs
+    # the theoretical bound first, as its own sufficiency check ...
+    assert calls[0] == (search.theory_bound, True)
+    assert search.stable_at_theory
+    # ... then the start, by default the spectral estimate ...
+    calls = calls[1:]
     dt0, first = calls[0]
-    assert dt0 == (start if start is not None else search.theory_bound)
-    # start * 2^+-k until the first flip ...
+    assert dt0 == (start if start is not None else search.spectral_dt)
+    # ... start * 2^+-k until the first flip ...
     k = 1
     while calls[k][1] == first:
         assert calls[k][0] == dt0 * (2.0 if first else 0.5) ** k
@@ -109,6 +123,27 @@ def test_find_dtmax_classified_sequence(coarse_case, monkeypatch, start, runs):
     assert search.iterations == len(calls) - k - 1
 
 
+def test_find_dtmax_falls_back_to_bound_start(coarse_case, monkeypatch):
+    import dgtd.stability as stability
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    reference = find_dtmax(coarse_case, tol=1e-2)
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(stability, "eigs", no_convergence)
+    calls = _record_classified(monkeypatch)
+    search = find_dtmax(coarse_case, tol=1e-2)
+    assert np.isnan(search.spectral_dt)
+    # brackets from the bound, whose verdict is not classified twice
+    assert calls[0] == (search.theory_bound, True)
+    assert calls[1][0] == 2.0 * search.theory_bound
+    assert search.runs == len(calls) == 13
+    assert search.stable_at_theory
+    assert search.dt_max == pytest.approx(reference.dt_max, rel=1e-2)
+
+
 @pytest.mark.parametrize("verdict, message", [(True, "cap"), (False, "shrinking")])
 def test_find_dtmax_bracketing_limits(coarse_case, monkeypatch, verdict, message):
     import dgtd.experiments as experiments
@@ -118,11 +153,13 @@ def test_find_dtmax_bracketing_limits(coarse_case, monkeypatch, verdict, message
                         lambda dt, case: dts.append(dt) or verdict)
     with pytest.raises(SweepError, match=message):
         find_dtmax(coarse_case, tol=1e-2, start=1.0)
-    # doubling stops once dt reaches DT_CAP; halving after MAX_HALVINGS steps
+    # the bound first; then doubling stops once dt reaches DT_CAP, and
+    # halving after MAX_HALVINGS steps
+    assert dts[0] == coarse_case.theory().dt_bound
     if verdict:
-        assert dts == [2.0 ** k for k in range(5)]
+        assert dts[1:] == [2.0 ** k for k in range(5)]
     else:
-        assert dts == [0.5 ** k for k in range(experiments.MAX_HALVINGS + 1)]
+        assert dts[1:] == [0.5 ** k for k in range(experiments.MAX_HALVINGS + 1)]
 
 
 def test_cfl_constant_definition():

@@ -5,6 +5,7 @@ import pytest
 
 from dgtd import (
     DomainError,
+    FluxParams,
     MaterialMap,
     PermittivityTensor,
     beta_params,
@@ -13,14 +14,17 @@ from dgtd import (
     calibrate_c_tau,
     face_impedances,
     mesh_from_arrays,
+    spectral_dt,
     stability_bound_2d,
     stability_bound_3d,
     structured_square_mesh,
     theoretical_bound,
     trace_constant_exact,
 )
+from dgtd.dg_core import SpatialOperator
 from dgtd.stability import calibrate_c_inv_per_order
 from helpers import (
+    DenseRhsOracle,
     edge_quadrature,
     eval_polynomial,
     eval_polynomial_grad,
@@ -245,3 +249,49 @@ def test_pinned_regression_values():
                                 imp.z_min, imp.y_min, 0.0, "PEC",
                                 bound.c_inv, bound.c_tau)
     assert bound3.dt_bound == pytest.approx(0.004700164566409848, rel=1e-9)
+
+
+def _dense_blocks(oracle, shape):
+    """A_EH (E <- H) and A_HE (H <- E) of a central-flux oracle, assembled
+    column by column (without a penalty, E feeds only the H update and H
+    only the E update, so one call fills a column of each)."""
+    n = shape[0] * shape[1]
+    zero = np.zeros(shape)
+    a_eh = np.empty((2 * n, n))
+    a_he = np.empty((n, 2 * n))
+    for j in range(n):
+        unit = np.zeros(n)
+        unit[j] = 1.0
+        unit = unit.reshape(shape)
+        r_ex, r_ey, r_hz = oracle.rhs(unit, zero, unit)
+        a_eh[:, j] = np.concatenate([r_ex.ravel(), r_ey.ravel()])
+        a_he[:, j] = r_hz.ravel()
+        a_he[:, n + j] = oracle.rhs(zero, unit, zero)[2].ravel()
+    return a_eh, a_he
+
+
+def _leapfrog_radius(a_eh, a_he, dt):
+    """Spectral radius of the one-step map E += dt A_EH H; H += dt A_HE E."""
+    n_e, n_h = a_eh.shape
+    step = np.block([[np.eye(n_e), dt * a_eh],
+                     [dt * a_he, np.eye(n_h) + dt**2 * a_he @ a_eh]])
+    return np.abs(np.linalg.eigvals(step)).max()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_spectral_dt_matches_dense_operator(order):
+    mesh = structured_square_mesh(2)
+    mats = MaterialMap.uniform(mesh.n_elements, EPS_ANISO, 1.0)
+    elem = build_reference_element(order)
+    flux = FluxParams(alpha=0.0, bc="PEC")
+    op = SpatialOperator(mesh, mats, elem, flux)
+    got = spectral_dt(op)
+
+    a_eh, a_he = _dense_blocks(DenseRhsOracle(mesh, mats, elem, flux), op.x.shape)
+    lam = np.linalg.eigvals(-a_he @ a_eh)
+    assert np.abs(lam.imag).max() <= 1e-8 * lam.real.max()
+    want = 2.0 / math.sqrt(lam.real.max())
+    assert got == pytest.approx(want, rel=1e-8)
+    # the estimate is the leap-frog limit of the dense one-step map
+    assert _leapfrog_radius(a_eh, a_he, 0.99 * got) <= 1.0 + 1e-8
+    assert _leapfrog_radius(a_eh, a_he, 1.01 * got) > 1.0
