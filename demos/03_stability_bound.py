@@ -2,11 +2,12 @@
 
 Evaluates the sufficient stability condition (with computationally
 calibrated trace and inverse-inequality constants) for one setup, then
-locates the actual maximum stable dt by bisection, bracketed from the
-spectral leap-frog limit of the operator's central part. The theory is a
-guaranteed-safe bound, so the empirical threshold sits a comfortable
-factor above it; alpha pushes both downward. The central flux lands just
-above the spectral limit, the upwind flux well below it.
+locates the actual maximum stable dt by bracketing from just below
+the spectral leap-frog limit of the operator's central part and
+bisecting. The theory is a guaranteed-safe bound, so the empirical
+threshold sits a comfortable factor above it; alpha pushes both
+downward. The central flux lands just above the spectral limit, the
+upwind flux well below it.
 """
 
 from dgtd import cfl_constant, find_dtmax, stability_bound_3d

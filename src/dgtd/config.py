@@ -171,16 +171,19 @@ class _Reader:
             raise ConfigError(f"malformed config {path}: {exc}") from exc
         self.parser = parser
         self.path = path
+        self.asked: set[tuple[str, str]] = set()
 
-    def reject_unknown(self, known: dict[str, tuple[str, ...]]) -> None:
-        """ConfigError on any section or key outside `known`."""
+    def reject_unread(self) -> None:
+        """ConfigError on any section or key the parse never asked for."""
+        asked_sections = {section for section, _ in self.asked}
         for section in self.parser.sections():
-            if section not in known:
+            if section not in asked_sections:
                 raise ConfigError(f"{self.path}: unknown section [{section}]")
-            unknown = sorted(set(self.parser.options(section)) - set(known[section]))
-            if unknown:
-                raise ConfigError(
-                    f"{self.path}: unknown [{section}] keys: {', '.join(unknown)}")
+            unread = sorted(key for key in self.parser.options(section)
+                            if (section, key) not in self.asked)
+            if unread:
+                raise ConfigError(f"{self.path}: unknown or unused [{section}] "
+                                  f"keys: {', '.join(unread)}")
 
     def has(self, section: str, key: str | None = None) -> bool:
         if key is None:
@@ -188,6 +191,7 @@ class _Reader:
         return self.parser.has_option(section, key)
 
     def get(self, section: str, key: str, default=None, required=False) -> str:
+        self.asked.add((section, key))
         if not self.parser.has_option(section, key):
             if required:
                 raise ConfigError(f"{self.path}: missing [{section}] {key}")
@@ -253,23 +257,10 @@ def _read_material(reader: _Reader, cfg: SimulationConfig):
     cfg.mu = reader.get_float("material", "mu", 1.0)
 
 
-MATERIAL_KEYS = ("table", "eps_xx", "eps_xy", "eps_yx", "eps_yy", "mu")
-CONFIG_KEYS = {
-    "mesh": ("kind", "cells", "xmin", "xmax", "ymin", "ymax", "diagonal",
-             "path", "reorient"),
-    "material": MATERIAL_KEYS,
-    "discretization": ("order", "alpha", "bc"),
-    "time": ("dt", "safety", "final_time"),
-    "initial": ("name", "hz"),
-    "output": ("energy_every", "fields", "blowup_factor"),
-}
-
-
 def parse_config(path) -> SimulationConfig:
-    """Parse and validate a simulation config file; unknown sections and
-    keys are errors, not silently ignored."""
+    """Parse and validate a simulation config file; sections and keys the
+    parse does not read are errors, not silently ignored."""
     reader = _Reader(path)
-    reader.reject_unknown(CONFIG_KEYS)
     cfg = SimulationConfig()
 
     cfg.mesh_kind = reader.get("mesh", "kind", "structured")
@@ -319,11 +310,8 @@ def parse_config(path) -> SimulationConfig:
     cfg.fields_out = reader.get_bool("output", "fields", False)
     cfg.blowup_factor = reader.get_float("output", "blowup_factor",
                                          DEFAULT_BLOWUP_FACTOR)
+    reader.reject_unread()
     return cfg
-
-
-SWEEP_KEYS = ("cells", "orders", "flux", "alpha", "bc", "tol", "final_time",
-              "diagonal", "initial", "bounded_factor")
 
 
 def parse_table_spec(path) -> SweepSpec:
@@ -331,7 +319,6 @@ def parse_table_spec(path) -> SweepSpec:
     reader = _Reader(path)
     if not reader.has("sweep"):
         raise ConfigError(f"{path}: missing [sweep] section")
-    reader.reject_unknown({"sweep": SWEEP_KEYS, "material": MATERIAL_KEYS})
 
     cells = reader.get_list("sweep", "cells", int, required=True)
     orders = reader.get_list("sweep", "orders", int, required=True)
@@ -370,4 +357,5 @@ def parse_table_spec(path) -> SweepSpec:
         raise ConfigError(f"{path}: tol must lie in (0, 0.1]")
     if any(not math.isfinite(c) or c < 1 for c in cells):
         raise ConfigError(f"{path}: cells entries must be >= 1")
+    reader.reject_unread()
     return spec

@@ -5,10 +5,11 @@ A "case" fixes everything except the time step: mesh, materials, order,
 flux parameters and initial data, integrated to the final time. The
 stable/unstable classification of a given dt is a run that either
 reaches the final time with bounded energy or stops at the first energy
-above the bound. Each search first classifies the theoretical bound as
-an explicit sufficiency check. The maximum stable step is then bracketed
-by doubling or halving from the spectral leap-frog limit of the
-operator's central part and bisected to a relative tolerance.
+above the bound. The maximum stable step is bracketed by doubling or
+halving from the largest doubling of the theoretical bound that does
+not exceed the spectral leap-frog limit of the operator's central part,
+and then bisected to a relative tolerance. Each search also classifies
+the theoretical bound itself, as an explicit sufficiency check.
 """
 
 from __future__ import annotations
@@ -122,43 +123,48 @@ def find_dtmax(case: StabilityCase, tol: float = 1e-2,
                start: float | None = None) -> DtMaxSearch:
     """Largest stable time step, located by bracketing plus bisection.
 
-    First classifies the theoretical bound: `stable_at_theory` is that
-    verdict, whatever the start. Bracketing starts from `start` or, by
-    default, from `spectral_dt(case.op)` (the bound if ARPACK does not
-    converge), and steps away from the verdict there, doubling while
-    stable (up to DT_CAP) or halving while unstable (at most
-    MAX_HALVINGS times), until the verdict flips. Then bisects the
-    stable/unstable bracket to the relative tolerance. Returns the last
-    stable iterate.
+    Bracketing starts from `start` or, by default, from the largest
+    doubling theory * 2^k of the theoretical bound that does not exceed
+    `spectral_dt(case.op)` (the bound itself if ARPACK does not
+    converge). On that lattice the search meets the same bracket and
+    midpoints as doubling up from the bound would, without the runs
+    below the estimate, so dt_max is unchanged wherever the verdict is
+    monotone along the lattice. From the start it steps away from the
+    verdict, doubling while stable (up to DT_CAP) or halving while
+    unstable (at most MAX_HALVINGS times), until the verdict flips, then
+    bisects the bracket to the relative tolerance and returns the last
+    stable iterate. Last, it classifies the theoretical bound as an
+    explicit sufficiency check, unless bracketing already did:
+    `stable_at_theory` is that verdict, whatever the start.
     """
     if not 0.0 < tol <= 0.1:
         raise SweepError(f"tolerance must lie in (0, 0.1], got {tol}")
     theory = case.theory().dt_bound
-    stable_at_theory = classify_stability(theory, case)
-    runs = 1
     try:
         estimate = spectral_dt(case.op)
     except ArpackNoConvergence:
         estimate = math.nan
     if start is None:
-        start = theory if math.isnan(estimate) else estimate
+        start = theory
+        if not math.isnan(estimate):
+            start *= 2.0 ** math.floor(math.log2(estimate / theory))
+    verdicts: dict[float, bool] = {}
+
+    def classify(dt: float) -> bool:
+        if dt not in verdicts:
+            verdicts[dt] = classify_stability(dt, case)
+        return verdicts[dt]
+
     dt = start
-    if dt == theory:
-        stable = stable_at_theory
-    else:
-        stable = classify_stability(dt, case)
-        runs += 1
+    stable = classify(dt)
     lo, hi = (dt, None) if stable else (None, dt)
-    steps = 0
     while lo is None or hi is None:
         if hi is None and dt >= DT_CAP:
             raise SweepError(f"no unstable time step found below the cap {DT_CAP}")
-        if lo is None and steps >= MAX_HALVINGS:
+        if lo is None and len(verdicts) > MAX_HALVINGS:
             raise SweepError("no stable time step found while shrinking")
         dt *= 2.0 if stable else 0.5
-        steps += 1
-        runs += 1
-        if classify_stability(dt, case):
+        if classify(dt):
             lo = dt
         else:
             hi = dt
@@ -167,12 +173,12 @@ def find_dtmax(case: StabilityCase, tol: float = 1e-2,
     while (hi - lo) > tol * lo:
         mid = 0.5 * (lo + hi)
         iterations += 1
-        runs += 1
-        if classify_stability(mid, case):
+        if classify(mid):
             lo = mid
         else:
             hi = mid
-    return DtMaxSearch(dt_max=lo, iterations=iterations, runs=runs,
+    stable_at_theory = classify(theory)
+    return DtMaxSearch(dt_max=lo, iterations=iterations, runs=len(verdicts),
                        theory_bound=theory, spectral_dt=estimate,
                        stable_at_theory=stable_at_theory)
 

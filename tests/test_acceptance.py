@@ -62,7 +62,7 @@ ORDERS = (1, 2)
 @pytest.fixture(scope="module")
 def sweep():
     """dt_max for all 24 grid cells, found by bisection at defaults, with
-    the spectral estimate each search started from."""
+    each search's spectral estimate."""
     results = {}
     for (bc, alpha) in REFERENCE_C:
         for cells in CELLS:

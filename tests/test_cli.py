@@ -177,8 +177,8 @@ def test_parse_config_defaults_and_errors(tmp_path):
 
 
 @pytest.mark.parametrize("extra, match", [
-    ("[output]\nbounded_factor = 1.01\n", r"unknown \[output\] keys: bounded_factor"),
-    ("[output]\nfrobnicate = 3\n", r"unknown \[output\] keys: frobnicate"),
+    ("[output]\nbounded_factor = 1.01\n", r"unknown or unused \[output\] keys: bounded_factor"),
+    ("[output]\nfrobnicate = 3\n", r"unknown or unused \[output\] keys: frobnicate"),
     ("[solver]\ncfl = 0.5\n", r"unknown section \[solver\]"),
 ])
 def test_parse_config_rejects_unknown_keys(tmp_path, capsys, extra, match):
@@ -186,6 +186,13 @@ def test_parse_config_rejects_unknown_keys(tmp_path, capsys, extra, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(cfg)
     assert main(["dtmax-sweep", "--config", cfg]) == 2
+
+
+def test_parse_config_rejects_unused_keys(tmp_path):
+    # hz is read only for a custom initial condition
+    text = PEC_CONFIG.replace("name = pec_cosine", "name = pec_cosine\nhz = sin(x)")
+    with pytest.raises(ConfigError, match=r"unknown or unused \[initial\] keys: hz"):
+        parse_config(write(tmp_path, "unused.cfg", text))
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SHIPPED_CONFIGS.glob("*.cfg")))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -100,13 +102,16 @@ def test_find_dtmax_classified_sequence(coarse_case, monkeypatch, start, runs):
     calls = _record_classified(monkeypatch)
     search = find_dtmax(coarse_case, tol=1e-2, start=start)
     assert search.runs == len(calls) == runs
-    # the theoretical bound first, as its own sufficiency check ...
-    assert calls[0] == (search.theory_bound, True)
-    assert search.stable_at_theory
-    # ... then the start, by default the spectral estimate ...
-    calls = calls[1:]
+    # the start, by default the largest doubling of the theoretical bound
+    # not above the spectral estimate ...
     dt0, first = calls[0]
-    assert dt0 == (start if start is not None else search.spectral_dt)
+    if start is None:
+        k = round(math.log2(dt0 / search.theory_bound))
+        assert k >= 1
+        assert dt0 == search.theory_bound * 2.0 ** k
+        assert dt0 <= search.spectral_dt < 2.0 * dt0
+    else:
+        assert dt0 == start
     # ... start * 2^+-k until the first flip ...
     k = 1
     while calls[k][1] == first:
@@ -114,13 +119,16 @@ def test_find_dtmax_classified_sequence(coarse_case, monkeypatch, start, runs):
         k += 1
     assert calls[k][0] == dt0 * (2.0 if first else 0.5) ** k
     lo, hi = sorted((calls[k - 1][0], calls[k][0]))
-    # ... then midpoints of the current bracket
-    for dt, stable in calls[k + 1:]:
+    # ... then midpoints of the current bracket ...
+    for dt, stable in calls[k + 1:-1]:
         assert dt == 0.5 * (lo + hi)
         lo, hi = (dt, hi) if stable else (lo, dt)
     assert search.dt_max == lo
     assert hi - lo <= 1e-2 * lo
-    assert search.iterations == len(calls) - k - 1
+    assert search.iterations == len(calls) - k - 2
+    # ... and last the theoretical bound, as its own sufficiency check
+    assert calls[-1] == (search.theory_bound, True)
+    assert search.stable_at_theory
 
 
 def test_find_dtmax_falls_back_to_bound_start(coarse_case, monkeypatch):
@@ -141,7 +149,8 @@ def test_find_dtmax_falls_back_to_bound_start(coarse_case, monkeypatch):
     assert calls[1][0] == 2.0 * search.theory_bound
     assert search.runs == len(calls) == 13
     assert search.stable_at_theory
-    assert search.dt_max == pytest.approx(reference.dt_max, rel=1e-2)
+    # the default start lies on the same doubling lattice: same dt_max
+    assert search.dt_max == reference.dt_max
 
 
 @pytest.mark.parametrize("verdict, message", [(True, "cap"), (False, "shrinking")])
@@ -153,13 +162,11 @@ def test_find_dtmax_bracketing_limits(coarse_case, monkeypatch, verdict, message
                         lambda dt, case: dts.append(dt) or verdict)
     with pytest.raises(SweepError, match=message):
         find_dtmax(coarse_case, tol=1e-2, start=1.0)
-    # the bound first; then doubling stops once dt reaches DT_CAP, and
-    # halving after MAX_HALVINGS steps
-    assert dts[0] == coarse_case.theory().dt_bound
+    # doubling stops once dt reaches DT_CAP; halving after MAX_HALVINGS steps
     if verdict:
-        assert dts[1:] == [2.0 ** k for k in range(5)]
+        assert dts == [2.0 ** k for k in range(5)]
     else:
-        assert dts[1:] == [0.5 ** k for k in range(experiments.MAX_HALVINGS + 1)]
+        assert dts == [0.5 ** k for k in range(experiments.MAX_HALVINGS + 1)]
 
 
 def test_cfl_constant_definition():
