@@ -3,6 +3,10 @@
 Local edge f of a triangle runs from its vertex f to vertex (f+1) % 3,
 matching the reference-triangle edge numbering. All triangles are stored
 counterclockwise; outward normals follow from that orientation.
+
+Generation, validation and connectivity work on whole arrays, with no
+per-element Python loop, so set-up stays cheap at the sizes the shipped
+table configs ask for (cells = 160, K = 51200).
 """
 
 from __future__ import annotations
@@ -98,67 +102,104 @@ def build_connectivity(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge-adjacency tables (neighbor element, neighbor local edge).
 
     Boundary edges get -1 in both tables. Raises NonManifoldError if any
-    edge is shared by more than two triangles.
+    edge is shared by more than two triangles, naming the first such edge
+    met in (element, local edge) order. Vertex labels may be any int64
+    values.
     """
     k_elems = len(triangles)
-    edge_map: dict[frozenset, list[tuple[int, int]]] = {}
-    for k in range(k_elems):
-        for f, (a, b) in enumerate(_EDGE_VERTS):
-            key = frozenset((int(triangles[k, a]), int(triangles[k, b])))
-            edge_map.setdefault(key, []).append((k, f))
+    # one (lo, hi) key per (element, local edge); flat position 3k + f
+    heads = triangles[:, [a for a, _ in _EDGE_VERTS]].ravel()
+    tails = triangles[:, [b for _, b in _EDGE_VERTS]].ravel()
+    lo = np.minimum(heads, tails)
+    hi = np.maximum(heads, tails)
+    # stable: equal keys stay in (element, local edge) order
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    new_key = np.ones(len(order), dtype=bool)
+    new_key[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    starts = np.flatnonzero(new_key)
+    counts = np.diff(np.append(starts, len(order)))
 
-    neighbor = np.full((k_elems, 3), -1, dtype=np.int64)
-    neighbor_face = np.full((k_elems, 3), -1, dtype=np.int64)
-    for key, sides in edge_map.items():
-        if len(sides) > 2:
-            verts = tuple(sorted(key))
-            raise NonManifoldError(
-                f"edge {verts} shared by {len(sides)} triangles"
-            )
-        if len(sides) == 2:
-            (k1, f1), (k2, f2) = sides
-            neighbor[k1, f1] = k2
-            neighbor_face[k1, f1] = f2
-            neighbor[k2, f2] = k1
-            neighbor_face[k2, f2] = f1
-    return neighbor, neighbor_face
+    over = np.flatnonzero(counts > 2)
+    if len(over):
+        # a run starts at its earliest side, so the run with the smallest
+        # start is the over-shared edge met first
+        run = over[np.argmin(order[starts[over]])]
+        verts = (int(lo[starts[run]]), int(hi[starts[run]]))
+        raise NonManifoldError(
+            f"edge {verts} shared by {counts[run]} triangles"
+        )
+
+    pairs = starts[counts == 2]
+    side1, side2 = order[pairs], order[pairs + 1]
+    neighbor = np.full(3 * k_elems, -1, dtype=np.int64)
+    neighbor_face = np.full(3 * k_elems, -1, dtype=np.int64)
+    neighbor[side1], neighbor_face[side1] = np.divmod(side2, 3)
+    neighbor[side2], neighbor_face[side2] = np.divmod(side1, 3)
+    return neighbor.reshape(k_elems, 3), neighbor_face.reshape(k_elems, 3)
 
 
 def _validate_triangles(vertices: np.ndarray, triangles: np.ndarray,
                         reorient: bool) -> np.ndarray:
-    n_v = len(vertices)
-    seen: dict[tuple, int] = {}
-    triangles = triangles.copy()
-    for k, tri in enumerate(triangles):
-        if tri.min() < 0 or tri.max() >= n_v:
-            raise MeshError(f"triangle {k} refers to a vertex out of range")
-        if len(set(int(i) for i in tri)) != 3:
-            raise MeshError(f"triangle {k} has a repeated vertex")
-        key = tuple(sorted(int(i) for i in tri))
-        if key in seen:
-            raise MeshError(f"triangle {k} duplicates triangle {seen[key]}")
-        seen[key] = k
+    """Checked copy of `triangles`, clockwise rows flipped if `reorient`.
 
-        v = vertices[tri]
-        e1 = v[1] - v[0]
-        e2 = v[2] - v[0]
-        signed = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-        if abs(signed) < 1e-14 * max(1.0, np.abs(v).max()) ** 2:
-            raise MeshError(f"triangle {k} is degenerate (zero area)")
-        if signed < 0.0:
-            if not reorient:
-                raise MeshError(
-                    f"triangle {k} has clockwise orientation "
-                    "(pass reorient=True to flip it)"
-                )
-            triangles[k] = tri[[0, 2, 1]]
+    Each check runs on all triangles at once; the lowest faulty triangle
+    is reported with its first failed check, in the order range, repeated
+    vertex, duplicate, degenerate, orientation.
+    """
+    n_v = len(vertices)
+    k_elems = len(triangles)
+    out_of_range = ((triangles < 0) | (triangles >= n_v)).any(axis=1)
+    ordered = np.sort(triangles, axis=1)
+    repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    _, first_index, inverse = np.unique(
+        ordered, axis=0, return_index=True, return_inverse=True)
+    first_seen = first_index[inverse.ravel()]
+    duplicate = first_seen != np.arange(k_elems)
+
+    # geometry only for rows whose indices are in range
+    in_range = np.flatnonzero(~out_of_range)
+    v = vertices[triangles[in_range]]  # (K_in, 3, 2)
+    e1 = v[:, 1] - v[:, 0]
+    e2 = v[:, 2] - v[:, 0]
+    signed = np.zeros(k_elems)
+    signed[in_range] = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    scale = np.ones(k_elems)
+    scale[in_range] = np.maximum(1.0, np.abs(v).max(axis=(1, 2)))
+    degenerate = np.abs(signed) < 1e-14 * scale ** 2
+    clockwise = signed < 0.0
+
+    faults = np.stack([out_of_range, repeated, duplicate, degenerate,
+                       clockwise & (not reorient)])
+    faulty = faults.any(axis=0)
+    if faulty.any():
+        k = int(np.argmax(faulty))
+        messages = (
+            f"triangle {k} refers to a vertex out of range",
+            f"triangle {k} has a repeated vertex",
+            f"triangle {k} duplicates triangle {first_seen[k]}",
+            f"triangle {k} is degenerate (zero area)",
+            f"triangle {k} has clockwise orientation "
+            "(pass reorient=True to flip it)",
+        )
+        raise MeshError(messages[int(np.argmax(faults[:, k]))])
+
+    triangles = triangles.copy()
+    triangles[clockwise] = triangles[clockwise][:, [0, 2, 1]]
     return triangles
 
 
 def mesh_from_arrays(vertices, triangles, reorient: bool = False) -> Mesh2D:
-    """Validate raw vertex/triangle arrays and build the full mesh."""
+    """Validate raw vertex/triangle arrays and build the full mesh.
+
+    Raises MeshError for a mesh without triangles or a faulty triangle
+    (see `_validate_triangles`) and NonManifoldError for an edge shared
+    by more than two triangles.
+    """
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
     triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    if len(triangles) == 0:
+        raise MeshError("mesh has no triangles")
     triangles = _validate_triangles(vertices, triangles, reorient)
     neighbor, neighbor_face = build_connectivity(triangles)
 
@@ -206,8 +247,11 @@ def structured_square_mesh(n_cells_per_side: int,
 
     Every cell is cut along the same diagonal: "slash" joins the
     bottom-right corner to the top-left one, "backslash" the bottom-left
-    to the top-right. For a square domain the element diameter is the
-    cell diagonal, so h_min = sqrt(2) * (xmax - xmin) / n.
+    to the top-right. Vertices are numbered row by row from (xmin, ymin);
+    cells are taken row-major (j, then i), and cell (i, j) gives
+    triangles 2c and 2c + 1, c = j * n + i. For a square domain the
+    element diameter is the cell diagonal, so h_min = sqrt(2) * (xmax -
+    xmin) / n.
     """
     n = int(n_cells_per_side)
     if n < 1:
@@ -222,23 +266,18 @@ def structured_square_mesh(n_cells_per_side: int,
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    def vid(i: int, j: int) -> int:
-        return j * (n + 1) + i
-
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            if diagonal == "slash":
-                triangles.append((a, b, d))
-                triangles.append((b, c, d))
-            else:
-                triangles.append((a, b, c))
-                triangles.append((a, c, d))
-    return mesh_from_arrays(vertices, np.array(triangles, dtype=np.int64))
+    # lower-left corner of every cell, cells row-major (j, then i)
+    a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    b = a + 1          # lower right
+    d = a + (n + 1)    # upper left
+    c = d + 1          # upper right
+    if diagonal == "slash":
+        pair = ((a, b, d), (b, c, d))
+    else:
+        pair = ((a, b, c), (a, c, d))
+    # (n*n, 2, 3): the cell's two triangles stay adjacent
+    triangles = np.stack([np.stack(t, axis=1) for t in pair], axis=1)
+    return mesh_from_arrays(vertices, triangles.reshape(-1, 3))
 
 
 def save_mesh(mesh: Mesh2D, path) -> None:

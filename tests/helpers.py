@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
+from dgtd import MeshError, NonManifoldError
+
 REF_VERTS = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
 
 
@@ -258,3 +260,90 @@ class DenseRhsOracle:
 def l2_norm_squared(mesh, values_at_quad, qw):
     """Sum over elements of integral of values^2 (values: (K, nq))."""
     return float(np.dot(mesh.jac, (values_at_quad**2 @ qw)))
+
+
+# ---------------------------------------------------------------------------
+# Per-element mesh set-up loops (references for the array code in dgtd.mesh)
+# ---------------------------------------------------------------------------
+
+def reference_structured_triangles(n: int, diagonal: str = "slash") -> np.ndarray:
+    """Triangles of `structured_square_mesh(n, diagonal=...)`, cell by cell."""
+    def vid(i: int, j: int) -> int:
+        return j * (n + 1) + i
+
+    triangles = []
+    for j in range(n):
+        for i in range(n):
+            a = vid(i, j)
+            b = vid(i + 1, j)
+            c = vid(i + 1, j + 1)
+            d = vid(i, j + 1)
+            if diagonal == "slash":
+                triangles.append((a, b, d))
+                triangles.append((b, c, d))
+            else:
+                triangles.append((a, b, c))
+                triangles.append((a, c, d))
+    return np.array(triangles, dtype=np.int64)
+
+
+def reference_connectivity(triangles):
+    """(neighbor, neighbor_face) from a dict of edges keyed by vertex set.
+
+    Raises NonManifoldError for the first over-shared edge in insertion
+    order, that is in (element, local edge) order.
+    """
+    k_elems = len(triangles)
+    edge_map: dict[frozenset, list[tuple[int, int]]] = {}
+    for k in range(k_elems):
+        for f, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+            key = frozenset((int(triangles[k, a]), int(triangles[k, b])))
+            edge_map.setdefault(key, []).append((k, f))
+
+    neighbor = np.full((k_elems, 3), -1, dtype=np.int64)
+    neighbor_face = np.full((k_elems, 3), -1, dtype=np.int64)
+    for key, sides in edge_map.items():
+        if len(sides) > 2:
+            verts = tuple(sorted(key))
+            raise NonManifoldError(
+                f"edge {verts} shared by {len(sides)} triangles"
+            )
+        if len(sides) == 2:
+            (k1, f1), (k2, f2) = sides
+            neighbor[k1, f1] = k2
+            neighbor_face[k1, f1] = f2
+            neighbor[k2, f2] = k1
+            neighbor_face[k2, f2] = f1
+    return neighbor, neighbor_face
+
+
+def reference_validate_triangles(vertices, triangles, reorient: bool):
+    """Checked copy of `triangles`, one triangle at a time; raises MeshError
+    for the first faulty triangle with its first failed check."""
+    n_v = len(vertices)
+    seen: dict[tuple, int] = {}
+    triangles = triangles.copy()
+    for k, tri in enumerate(triangles):
+        if tri.min() < 0 or tri.max() >= n_v:
+            raise MeshError(f"triangle {k} refers to a vertex out of range")
+        if len(set(int(i) for i in tri)) != 3:
+            raise MeshError(f"triangle {k} has a repeated vertex")
+        key = tuple(sorted(int(i) for i in tri))
+        if key in seen:
+            raise MeshError(f"triangle {k} duplicates triangle {seen[key]}")
+        seen[key] = k
+
+        v = vertices[tri]
+        e1 = v[1] - v[0]
+        e2 = v[2] - v[0]
+        signed = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
+        if abs(signed) < 1e-14 * max(1.0, np.abs(v).max()) ** 2:
+            raise MeshError(f"triangle {k} is degenerate (zero area)")
+        if signed < 0.0:
+            if not reorient:
+                raise MeshError(
+                    f"triangle {k} has clockwise orientation "
+                    "(pass reorient=True to flip it)"
+                )
+            triangles[k] = tri[[0, 2, 1]]
+    return triangles

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,8 @@ name = pec_cosine
 """
 
 
-SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = REPO / "demos" / "configs"
 
 
 def write(tmp_path, name, text):
@@ -108,6 +112,28 @@ def test_bound_command(tmp_path, capsys):
     rows = (out / "bound.csv").read_text().splitlines()
     assert rows[0].startswith("dim,c_inv,c_tau")
     assert rows[1].startswith("2,")
+
+
+def test_bound_on_empty_mesh_file_is_a_config_error(tmp_path, capsys):
+    mesh = write(tmp_path, "empty.txt",
+                 "dgtd-mesh v1\nV 3\n0 0\n1 0\n0 1\nT 0\n")
+    text = PEC_CONFIG.replace("kind = structured\ncells = 5",
+                              f"kind = file\npath = {mesh}")
+    cfg = write(tmp_path, "run.cfg", text)
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "mesh has no triangles" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "dgtd", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "dtmax-sweep" in proc.stdout
 
 
 def test_bound_three_d(tmp_path, capsys):

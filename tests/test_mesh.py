@@ -11,6 +11,11 @@ from dgtd import (
     save_mesh,
     structured_square_mesh,
 )
+from helpers import (
+    reference_connectivity,
+    reference_structured_triangles,
+    reference_validate_triangles,
+)
 
 
 def test_structured_h_min_values():
@@ -168,3 +173,148 @@ def test_diagonal_variants_same_geometry_stats():
     assert a.h_min == pytest.approx(b.h_min, rel=1e-14)
     assert a.area.sum() == pytest.approx(b.area.sum(), rel=1e-14)
     assert a.shape_regularity == pytest.approx(b.shape_regularity, rel=1e-14)
+
+
+@pytest.mark.parametrize("diagonal", ["slash", "backslash"])
+def test_structured_mesh_matches_reference_loops(diagonal):
+    for n in range(1, 13):
+        mesh = structured_square_mesh(n, diagonal=diagonal)
+        tris = reference_structured_triangles(n, diagonal)
+        np.testing.assert_array_equal(mesh.triangles, tris)
+        neighbor, neighbor_face = reference_connectivity(tris)
+        np.testing.assert_array_equal(mesh.neighbor, neighbor)
+        np.testing.assert_array_equal(mesh.neighbor_face, neighbor_face)
+
+
+@pytest.mark.parametrize("offset", [0, 10**12, -10**12])
+def test_connectivity_matches_reference_on_relabelled_mesh(offset):
+    rng = np.random.default_rng(7)
+    base = structured_square_mesh(6, diagonal="backslash").triangles
+    labels = rng.permutation(base.max() + 1) + offset
+    tris = labels[base][rng.permutation(len(base))]
+    shift = rng.integers(0, 3, len(tris))
+    tris = tris[np.arange(len(tris))[:, None], (np.arange(3) + shift[:, None]) % 3]
+    assert tris.dtype == np.int64
+    neighbor, neighbor_face = build_connectivity(tris)
+    ref_neighbor, ref_face = reference_connectivity(tris)
+    np.testing.assert_array_equal(neighbor, ref_neighbor)
+    np.testing.assert_array_equal(neighbor_face, ref_face)
+
+
+def test_shipped_finest_mesh_counts_and_symmetry():
+    n = 160
+    mesh = structured_square_mesh(n)
+    k = mesh.n_elements
+    assert k == 2 * n * n
+    assert mesh.boundary_edge_count == 4 * n
+    assert mesh.interior_edge_count == (3 * k - 4 * n) // 2
+    elems, faces = np.nonzero(mesh.neighbor >= 0)
+    k2 = mesh.neighbor[elems, faces]
+    f2 = mesh.neighbor_face[elems, faces]
+    np.testing.assert_array_equal(mesh.neighbor[k2, f2], elems)
+    np.testing.assert_array_equal(mesh.neighbor_face[k2, f2], faces)
+
+
+def test_empty_mesh_rejected(tmp_path):
+    with pytest.raises(MeshError, match="mesh has no triangles"):
+        mesh_from_arrays([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                         np.empty((0, 3), dtype=np.int64))
+    path = tmp_path / "empty.txt"
+    path.write_text("dgtd-mesh v1\nV 3\n0 0\n1 0\n0 1\nT 0\n")
+    with pytest.raises(MeshError, match="mesh has no triangles"):
+        load_mesh(path)
+
+
+SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                   [2.0, 2.0]])
+
+
+@pytest.mark.parametrize("tris,message", [
+    ([[0, 1, 2], [0, 2, 4]], "triangle 1 is degenerate (zero area)"),
+    ([[0, 1, 2], [-1, 2, 3]], "triangle 1 refers to a vertex out of range"),
+    # lowest faulty triangle wins, with its first failed check
+    ([[0, 1, 2], [0, 2, 1], [0, 1, 9]], "triangle 1 duplicates triangle 0"),
+    ([[0, 1, 2], [3, 3, 9], [0, 2, 4]], "triangle 1 refers to a vertex out of range"),
+    ([[0, 1, 2], [0, 2, 4], [3, 3, 1]], "triangle 1 is degenerate (zero area)"),
+    ([[0, 1, 2], [0, 3, 2], [2, 3, 2]],
+     "triangle 1 has clockwise orientation (pass reorient=True to flip it)"),
+    ([[0, 2, 3], [1, 1, 2], [0, 3, 2]], "triangle 1 has a repeated vertex"),
+])
+def test_validation_reports_lowest_faulty_triangle(tris, message):
+    tris = np.array(tris, dtype=np.int64)
+    with pytest.raises(MeshError) as ref:
+        reference_validate_triangles(SQUARE, tris, reorient=False)
+    assert str(ref.value) == message
+    with pytest.raises(MeshError) as exc:
+        mesh_from_arrays(SQUARE, tris)
+    assert str(exc.value) == message
+
+
+def test_degenerate_threshold_scales_with_coordinates():
+    # area 5e-8 passes near the origin, but not at |x| ~ 1e4, where the
+    # threshold is 1e-14 * (1e4 + 1)**2 ~ 1e-6
+    thin = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-7]])
+    assert mesh_from_arrays(thin, [[0, 1, 2]]).area[0] == pytest.approx(5e-8)
+    with pytest.raises(MeshError, match=r"triangle 0 is degenerate \(zero area\)"):
+        mesh_from_arrays(thin + [1e4, 0.0], [[0, 1, 2]])
+
+
+def test_validation_messages_match_reference_on_random_faults():
+    rng = np.random.default_rng(3)
+    mesh = structured_square_mesh(4)
+    for trial in range(200):
+        verts = mesh.vertices.copy()
+        tris = mesh.triangles.copy()
+        for _ in range(rng.integers(1, 4)):
+            k = rng.integers(len(tris))
+            fault = rng.integers(5)
+            if fault == 0:
+                tris[k, rng.integers(3)] = rng.choice([-1, len(verts)])
+            elif fault == 1:
+                tris[k, 1] = tris[k, 0]
+            elif fault == 2:
+                tris[k] = tris[rng.integers(len(tris))][rng.permutation(3)]
+            elif fault == 3 and (0 <= tris[k]).all() and (tris[k] < len(verts)).all():
+                # moves a vertex onto the midpoint of the opposite edge
+                verts[tris[k, 2]] = 0.5 * (verts[tris[k, 0]] + verts[tris[k, 1]])
+            else:
+                tris[k] = tris[k, [0, 2, 1]]
+        for reorient in (False, True):
+            try:
+                expected = reference_validate_triangles(verts, tris, reorient)
+            except MeshError as err:
+                with pytest.raises(MeshError) as exc:
+                    mesh_from_arrays(verts, tris, reorient=reorient)
+                assert str(exc.value) == str(err), trial
+            else:
+                got = mesh_from_arrays(verts, tris, reorient=reorient)
+                np.testing.assert_array_equal(got.triangles, expected)
+
+
+def test_reorient_flips_exactly_the_clockwise_rows():
+    mesh = structured_square_mesh(5)
+    rng = np.random.default_rng(11)
+    flipped = rng.random(mesh.n_elements) < 0.4
+    tris = mesh.triangles.copy()
+    tris[flipped] = tris[flipped][:, [0, 2, 1]]
+    first = int(np.argmax(flipped))
+    with pytest.raises(MeshError, match=rf"triangle {first} has clockwise"):
+        mesh_from_arrays(mesh.vertices, tris)
+    back = mesh_from_arrays(mesh.vertices, tris, reorient=True)
+    np.testing.assert_array_equal(back.triangles, mesh.triangles)
+    # the caller's array is left alone
+    assert not np.array_equal(tris, mesh.triangles)
+
+
+def test_non_manifold_error_names_first_edge_met():
+    # edge {5, 6} (4 triangles) is met before edge {0, 1} (3 triangles),
+    # although it sorts after it
+    tris = np.array([[5, 6, 7], [0, 1, 2], [0, 1, 3], [6, 5, 8],
+                     [1, 0, 4], [5, 6, 9], [10, 6, 5]])
+    message = "edge (5, 6) shared by 4 triangles"
+    with pytest.raises(NonManifoldError) as ref:
+        reference_connectivity(tris)
+    assert str(ref.value) == message
+    with pytest.raises(NonManifoldError) as exc:
+        build_connectivity(tris)
+    assert str(exc.value) == message
