@@ -7,8 +7,6 @@ from .dg_core import (
     BC_SM,
     FluxParams,
     SpatialOperator,
-    boundary_ghost,
-    numerical_flux,
 )
 from .errors import (
     BlowupDetected,

@@ -30,7 +30,7 @@ from .leapfrog import (
 )
 from .materials import face_impedances
 from .reference_element import build_reference_element
-from .stability import stability_bound_3d, theoretical_bound
+from .stability import spectral_dt, stability_bound_3d, theoretical_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,7 +179,7 @@ def _cmd_dtmax(args) -> int:
     print(f"dt_max       = {search.dt_max!r}")
     print(f"C            = {c!r}")
     print(f"theory bound = {search.theory_bound!r}")
-    print(f"spectral dt  = {search.spectral_dt!r}")
+    print(f"spectral dt  = {spectral_dt(case.op)!r}")
     print(f"bisection iterations = {search.iterations}, runs = {search.runs}")
     return EXIT_OK
 

@@ -22,7 +22,7 @@ field's own jumps when some face has alpha > 0. The flux coefficients
 are precomputed per face with the face scaling, the normals, the
 impedance weights, alpha and the material inverse folded in
 (Hesthaven & Warburton, Nodal Discontinuous Galerkin Methods, 2008,
-ch. 3 and 6). numerical_flux is the pointwise reference formula.
+ch. 3 and 6).
 """
 
 from __future__ import annotations
@@ -71,20 +71,6 @@ class FluxParams:
         object.__setattr__(self, "bc", normalize_bc(self.bc))
 
 
-def numerical_flux(jump_ex, jump_ey, jump_hz, nx, ny,
-                   z_minus, z_plus, y_minus, y_plus, alpha):
-    """Flux contributions (fEx, fEy, fHz) from field jumps on a face.
-
-    All arguments broadcast; jumps are interior minus exterior.
-    """
-    tang_e = nx * jump_ey - ny * jump_ex
-    common = (z_plus * jump_hz - alpha * tang_e) / (z_plus + z_minus)
-    f_ex = -ny * common
-    f_ey = nx * common
-    f_hz = (y_plus * tang_e - alpha * jump_hz) / (y_plus + y_minus)
-    return f_ex, f_ey, f_hz
-
-
 # Boundary faces see the ghost state u+ = s u- as (s_E, s_H), which sets the
 # jumps [E] = 2E-, [Hz] = 0 (PEC), [E] = 0, [Hz] = 2Hz- (PMC) and
 # [E] = E-, [Hz] = Hz- (Silver-Muller). The last entry pins the boundary
@@ -100,17 +86,6 @@ def _boundary_rule(bc: str, alpha: float) -> tuple[float, float, float]:
     """Ghost signs (s_E, s_H) and the flux alpha of a boundary face."""
     s_e, s_h, pinned = _BOUNDARY_RULES[normalize_bc(bc)]
     return s_e, s_h, alpha if pinned is None else pinned
-
-
-def boundary_ghost(bc: str, alpha: float, interior_trace):
-    """Exterior ghost trace and effective flux alpha for a boundary face.
-
-    interior_trace is an (ex, ey, hz) tuple of arrays; the ghost is the
-    interior trace scaled by the boundary condition's signs.
-    """
-    s_e, s_h, alpha_b = _boundary_rule(bc, alpha)
-    ex, ey, hz = (np.asarray(f, dtype=float) for f in interior_trace)
-    return (s_e * ex, s_e * ey, s_h * hz), alpha_b
 
 
 def _exterior_index(mesh: Mesh2D, elem: ReferenceElement) -> np.ndarray:

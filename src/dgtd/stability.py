@@ -13,7 +13,8 @@ C_inv from a generalized eigenvalue problem on the reference triangle)
 so the bound is a concrete number rather than an order statement.
 
 `spectral_dt` is the second, sharp estimate: the leap-frog limit of the
-central part of the discrete operator, found matrix-free by ARPACK.
+central part of the discrete operator, found matrix-free by symmetric
+Lanczos (ARPACK) on the operator in the energy inner product.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, eigs
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .dg_core import BC_PEC, BC_PMC, BC_SM, SpatialOperator, normalize_bc
 from .errors import DomainError
@@ -35,11 +36,9 @@ from .reference_element import build_reference_element
 # diameter of the reference triangle (-1,-1), (1,-1), (-1,1)
 _REF_DIAMETER = 2.0 * math.sqrt(2.0)
 
-# ARPACK residual tolerance of spectral_dt. find_dtmax needs only the
-# power of two between the bound and the estimate; at cells 40-80, N 5
-# this gives the estimate to 6e-8 relative or better with a third of
-# the operator applications that 1e-10 takes (381 against 1041, and 801
-# against 2701).
+# Default Lanczos residual tolerance of spectral_dt, for the callers that
+# print or assert the value. find_dtmax needs only the power of two
+# between the bound and the estimate and passes a loose tolerance.
 _SPECTRAL_TOL = 1e-6
 
 
@@ -186,29 +185,44 @@ def theoretical_bound(mesh: Mesh2D, materials: MaterialMap, order: int,
     )
 
 
-def spectral_dt(op: SpatialOperator) -> float:
-    """Leap-frog step limit 2 / sqrt(lambda_max(-A_HE A_EH)).
+def symmetric_hh_operator(op: SpatialOperator) -> LinearOperator:
+    """-A_HE A_EH in the variables y = sqrt(mu J) h L, where M = L L^T is
+    the reference mass matrix.
 
     A_EH and A_HE are the E<-H and H<-E blocks of the operator. With the
     other field zero the alpha penalty terms vanish, so `op` is used as
-    is and the limit is that of its central part. Without a penalty
-    (central flux, PEC or PMC walls) leap-frog is stable iff
-    dt < spectral_dt(op) (Fezoui, Lanteri, Lohrengel & Piperno,
-    ESAIM:M2AN 39, 2005); an upwind penalty lowers the real limit below
-    it. lambda_max is found by ARPACK from a fixed-seed start vector, so
-    repeat calls agree. Raises scipy.sparse.linalg.ArpackNoConvergence
-    if ARPACK does not converge.
+    is and the product is that of its central part. It is self-adjoint in
+    the mu J M inner product of Hz, so in y it is symmetric.
     """
     shape = op.x.shape
     zero = np.zeros(shape)
+    chol = np.linalg.cholesky(op.elem.mass)
+    chol_inv = scipy.linalg.solve_triangular(chol, np.eye(len(chol)), lower=True)
+    weight = np.sqrt(op.materials.mu * op.mesh.jac)[:, None]
 
-    def matvec(v):
-        ex, ey = op.rhs_e(zero, zero, v.reshape(shape))
-        return -op.rhs_h(ex, ey, zero).ravel()
+    def matvec(y):
+        ex, ey = op.rhs_e(zero, zero, (y.reshape(shape) / weight) @ chol_inv)
+        return -(weight * (op.rhs_h(ex, ey, zero) @ chol)).ravel()
 
-    n = zero.size
-    a_hh = LinearOperator((n, n), matvec=matvec, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    lam = eigs(a_hh, k=1, which="LM", v0=v0, tol=_SPECTRAL_TOL,
-               return_eigenvectors=False)[0]
-    return 2.0 / math.sqrt(lam.real)
+    return LinearOperator((zero.size, zero.size), matvec=matvec, dtype=float)
+
+
+def spectral_dt(op: SpatialOperator, tol: float = _SPECTRAL_TOL) -> float:
+    """Leap-frog step limit 2 / sqrt(lambda_max(-A_HE A_EH)) of the
+    operator's central part.
+
+    Without a penalty (central flux, PEC or PMC walls) leap-frog is
+    stable iff dt < spectral_dt(op) (Fezoui, Lanteri, Lohrengel &
+    Piperno, ESAIM:M2AN 39, 2005); an upwind penalty lowers the real
+    limit below it. lambda_max is found by Lanczos on
+    `symmetric_hh_operator(op)` to the residual tolerance `tol`. A Ritz
+    value never exceeds lambda_max, so a loose tolerance can only err on
+    the large side of the limit. The start vector has a fixed seed, so
+    repeat calls agree. Raises scipy.sparse.linalg.ArpackNoConvergence
+    if ARPACK does not converge.
+    """
+    a_hh = symmetric_hh_operator(op)
+    v0 = np.random.default_rng(0).standard_normal(a_hh.shape[0])
+    lam = eigsh(a_hh, k=1, which="LA", v0=v0, tol=tol,
+                return_eigenvectors=False)[0]
+    return 2.0 / math.sqrt(lam)

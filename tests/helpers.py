@@ -12,6 +12,7 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from dgtd import MeshError, NonManifoldError
+from dgtd.dg_core import _boundary_rule
 
 REF_VERTS = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
 
@@ -231,15 +232,9 @@ class DenseRhsOracle:
                 alpha = 1.0
             z_m = z_p = self.materials.mu[k] * self._wave_speed(k, normal)
 
-        y_m, y_p = 1.0 / z_m, 1.0 / z_p
-        j_ex = ex_m - ex_p
-        j_ey = ey_m - ey_p
-        j_hz = hz_m - hz_p
-        tang_e = normal[0] * j_ey - normal[1] * j_ex
-        common = (z_p * j_hz - alpha * tang_e) / (z_p + z_m)
-        f_ex = -normal[1] * common
-        f_ey = normal[0] * common
-        f_hz = (y_p * tang_e - alpha * j_hz) / (y_p + y_m)
+        f_ex, f_ey, f_hz = numerical_flux(
+            ex_m - ex_p, ey_m - ey_p, hz_m - hz_p, normal[0], normal[1],
+            z_m, z_p, 1.0 / z_m, 1.0 / z_p, alpha)
 
         lag_line = mono_line @ self.inv_node_mono
         scale = 0.5 * length  # ds = |edge|/2 dt
@@ -255,6 +250,37 @@ class DenseRhsOracle:
         ey1 = ey + dt * r_ey
         _, _, r_hz = self.rhs(ex1, ey1, hz)
         return ex1, ey1, hz + dt * r_hz
+
+
+# ---------------------------------------------------------------------------
+# Pointwise face formulas (references for the folded kernel in dgtd.dg_core)
+# ---------------------------------------------------------------------------
+
+def numerical_flux(jump_ex, jump_ey, jump_hz, nx, ny,
+                   z_minus, z_plus, y_minus, y_plus, alpha):
+    """Flux contributions (fEx, fEy, fHz) from field jumps on a face.
+
+    All arguments broadcast; jumps are interior minus exterior.
+    """
+    tang_e = nx * jump_ey - ny * jump_ex
+    common = (z_plus * jump_hz - alpha * tang_e) / (z_plus + z_minus)
+    f_ex = -ny * common
+    f_ey = nx * common
+    f_hz = (y_plus * tang_e - alpha * jump_hz) / (y_plus + y_minus)
+    return f_ex, f_ey, f_hz
+
+
+def boundary_ghost(bc: str, alpha: float, interior_trace):
+    """Exterior ghost trace and effective flux alpha for a boundary face.
+
+    interior_trace is an (ex, ey, hz) tuple of arrays; the ghost is the
+    interior trace scaled by the signs the package's boundary table
+    (dg_core._BOUNDARY_RULES, through _boundary_rule) gives the boundary
+    condition, so the tests check the table the kernel reads.
+    """
+    s_e, s_h, alpha_b = _boundary_rule(bc, alpha)
+    ex, ey, hz = (np.asarray(f, dtype=float) for f in interior_trace)
+    return (s_e * ex, s_e * ey, s_h * hz), alpha_b
 
 
 def l2_norm_squared(mesh, values_at_quad, qw):

@@ -8,13 +8,11 @@ from dgtd import (
     MaterialMap,
     PermittivityTensor,
     SpatialOperator,
-    boundary_ghost,
     build_reference_element,
     mesh_from_arrays,
-    numerical_flux,
     structured_square_mesh,
 )
-from helpers import DenseRhsOracle, random_spd_tensor
+from helpers import DenseRhsOracle, boundary_ghost, numerical_flux, random_spd_tensor
 
 EPS_ANISO = PermittivityTensor(5.0, 1.0, 1.0, 3.0)
 

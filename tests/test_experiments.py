@@ -10,10 +10,11 @@ from dgtd import (
     classify_stability,
     find_dtmax,
     run_table,
+    spectral_dt,
     write_table_csv,
 )
 from dgtd.errors import SweepError
-from dgtd.experiments import flux_name, table_filename
+from dgtd.experiments import START_TOL, flux_name, table_filename
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,7 @@ def test_unstable_run_stops_at_bounded_factor(coarse_case, monkeypatch):
 
 def test_find_dtmax_coarsest_case(coarse_case):
     search = find_dtmax(coarse_case, tol=1e-2)
-    assert search.stable_at_theory
+    assert classify_stability(search.theory_bound, coarse_case)
     assert search.theory_bound < search.dt_max
     # reference value 0.17 (C = 1.80); reconstruction tolerance +-20%
     c = cfl_constant(search.dt_max, 1, coarse_case.mesh.h_min)
@@ -69,14 +70,15 @@ def test_find_dtmax_deterministic(coarse_case):
     b = find_dtmax(coarse_case, tol=1e-2)
     assert a.dt_max == b.dt_max
     assert a.runs == b.runs
-    assert a.spectral_dt == b.spectral_dt
+    assert (spectral_dt(coarse_case.op, tol=START_TOL)
+            == spectral_dt(coarse_case.op, tol=START_TOL))
 
 
 def test_find_dtmax_custom_start_converges(coarse_case):
     # a deliberately unstable starting guess must shrink and still bracket;
-    # stable_at_theory stays the verdict at the bound, not at the start
+    # the bound itself stays stable
     search = find_dtmax(coarse_case, tol=1e-2, start=1.0)
-    assert search.stable_at_theory
+    assert classify_stability(search.theory_bound, coarse_case)
     assert not classify_stability(1.0, coarse_case)
     reference = find_dtmax(coarse_case, tol=1e-2)
     assert search.dt_max == pytest.approx(reference.dt_max, rel=0.05)
@@ -97,19 +99,20 @@ def _record_classified(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("start, runs", [(None, 10), (1.0, 12)])
+@pytest.mark.parametrize("start, runs", [(None, 9), (1.0, 11)])
 def test_find_dtmax_classified_sequence(coarse_case, monkeypatch, start, runs):
     calls = _record_classified(monkeypatch)
     search = find_dtmax(coarse_case, tol=1e-2, start=start)
     assert search.runs == len(calls) == runs
     # the start, by default the largest doubling of the theoretical bound
-    # not above the spectral estimate ...
+    # not above the loose spectral estimate ...
     dt0, first = calls[0]
     if start is None:
         k = round(math.log2(dt0 / search.theory_bound))
         assert k >= 1
         assert dt0 == search.theory_bound * 2.0 ** k
-        assert dt0 <= search.spectral_dt < 2.0 * dt0
+        estimate = spectral_dt(coarse_case.op, tol=START_TOL)
+        assert dt0 <= estimate < 2.0 * dt0
     else:
         assert dt0 == start
     # ... start * 2^+-k until the first flip ...
@@ -119,16 +122,15 @@ def test_find_dtmax_classified_sequence(coarse_case, monkeypatch, start, runs):
         k += 1
     assert calls[k][0] == dt0 * (2.0 if first else 0.5) ** k
     lo, hi = sorted((calls[k - 1][0], calls[k][0]))
-    # ... then midpoints of the current bracket ...
-    for dt, stable in calls[k + 1:-1]:
+    # ... then midpoints of the current bracket, and nothing else: the
+    # theoretical bound is not classified
+    for dt, stable in calls[k + 1:]:
         assert dt == 0.5 * (lo + hi)
         lo, hi = (dt, hi) if stable else (lo, dt)
     assert search.dt_max == lo
     assert hi - lo <= 1e-2 * lo
-    assert search.iterations == len(calls) - k - 2
-    # ... and last the theoretical bound, as its own sufficiency check
-    assert calls[-1] == (search.theory_bound, True)
-    assert search.stable_at_theory
+    assert search.iterations == len(calls) - k - 1
+    assert search.theory_bound not in [dt for dt, _ in calls]
 
 
 def test_find_dtmax_falls_back_to_bound_start(coarse_case, monkeypatch):
@@ -140,15 +142,14 @@ def test_find_dtmax_falls_back_to_bound_start(coarse_case, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-    monkeypatch.setattr(stability, "eigs", no_convergence)
+    monkeypatch.setattr(stability, "eigsh", no_convergence)
     calls = _record_classified(monkeypatch)
     search = find_dtmax(coarse_case, tol=1e-2)
-    assert np.isnan(search.spectral_dt)
-    # brackets from the bound, whose verdict is not classified twice
+    # brackets from the bound, which classifies stable and is the first of
+    # the bracketing runs
     assert calls[0] == (search.theory_bound, True)
     assert calls[1][0] == 2.0 * search.theory_bound
     assert search.runs == len(calls) == 13
-    assert search.stable_at_theory
     # the default start lies on the same doubling lattice: same dt_max
     assert search.dt_max == reference.dt_max
 
@@ -222,7 +223,7 @@ def test_pmc_case_respects_theory_bound():
                                PermittivityTensor(5.0, 1.0, 1.0, 3.0), 1.0)
     case = StabilityCase(mesh, mats, 1, 0.0, "PMC", initial="pec_cosine")
     search = find_dtmax(case, tol=2e-2)
-    assert search.stable_at_theory
+    assert classify_stability(search.theory_bound, case)
     assert search.dt_max >= search.theory_bound
     # same mesh/order as the PEC cell, so the threshold lands nearby
     assert 0.1 < search.dt_max < 0.3

@@ -22,7 +22,7 @@ from dgtd import (
     trace_constant_exact,
 )
 from dgtd.dg_core import SpatialOperator
-from dgtd.stability import calibrate_c_inv_per_order
+from dgtd.stability import calibrate_c_inv_per_order, symmetric_hh_operator
 from helpers import (
     DenseRhsOracle,
     edge_quadrature,
@@ -30,6 +30,7 @@ from helpers import (
     eval_polynomial_grad,
     monomial_matrix,
     random_polynomial,
+    random_spd_tensor,
     triangle_quadrature,
 )
 
@@ -295,3 +296,30 @@ def test_spectral_dt_matches_dense_operator(order):
     # the estimate is the leap-frog limit of the dense one-step map
     assert _leapfrog_radius(a_eh, a_he, 0.99 * got) <= 1.0 + 1e-8
     assert _leapfrog_radius(a_eh, a_he, 1.01 * got) > 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("bc", ["PEC", "PMC", "SM"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_symmetric_hh_operator_is_symmetric(order, bc, alpha):
+    # random per-element eps and mu, so the sqrt(mu J) weight matters
+    rng = np.random.default_rng(order)
+    mesh = structured_square_mesh(2)
+    eps = np.stack([random_spd_tensor(rng) for _ in range(mesh.n_elements)])
+    mats = MaterialMap(eps, rng.uniform(0.5, 2.0, size=mesh.n_elements))
+    elem = build_reference_element(order)
+    flux = FluxParams(alpha=alpha, bc=bc)
+    op = SpatialOperator(mesh, mats, elem, flux)
+    n = op.x.size
+    sym = symmetric_hh_operator(op) @ np.eye(n)
+    assert np.abs(sym - sym.T).max() <= 1e-13 * np.abs(sym).max()
+
+    # a similarity transform of the operator's own -A_HE A_EH: the same
+    # spectrum (the operator itself is checked against the dense oracle in
+    # test_dg_core and acceptance criterion 5)
+    zero = np.zeros(op.x.shape)
+    product = np.stack([-op.rhs_h(*op.rhs_e(zero, zero, unit), zero).ravel()
+                        for unit in np.eye(n).reshape(n, *op.x.shape)], axis=1)
+    want = np.sort(np.linalg.eigvals(product).real)
+    got = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    assert np.abs(got - want).max() <= 1e-10 * want.max()
