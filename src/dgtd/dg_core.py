@@ -1,7 +1,10 @@
 """Semi-discrete DG spatial operator for the 2D TE Maxwell system.
 
-Fields (Ex, Ey, Hz) live element-wise as (K, Np) nodal arrays. The
-operator evaluates, per element,
+Fields (Ex, Ey, Hz) live element-wise as (K, Np) nodal arrays stored
+node-major (Fortran order). The kernels work on each field's (Np, K)
+transpose, a free view, so every elementwise product runs along K; a
+C-order field gives the same result at the cost of a copy. The operator
+evaluates, per element,
 
     eps dEx/dt =  dHz/dy + face terms,
     eps dEy/dt = -dHz/dx + face terms,
@@ -88,19 +91,32 @@ def _boundary_rule(bc: str, alpha: float) -> tuple[float, float, float]:
     return s_e, s_h, alpha if pinned is None else pinned
 
 
-def _exterior_index(mesh: Mesh2D, elem: ReferenceElement) -> np.ndarray:
-    """Flat index into a (K, Np) field of every face node's exterior trace.
+def _node_major(u: np.ndarray) -> np.ndarray:
+    """The C-contiguous (Np, K) transpose of a (K, Np) field: a free view
+    of a Fortran-order field, a copy of any other."""
+    return np.asfortranarray(u).T
+
+
+def _exterior_trace_index(mesh: Mesh2D, elem: ReferenceElement) -> np.ndarray:
+    """Flat index into a node-major (Np, K) field of every face node's
+    exterior trace, shape (3, Nfp, K).
 
     The neighbor walks the shared edge in the opposite direction, so its
     face-node order is reversed; a boundary face points at the element's
-    own node. Shape (K, 3, Nfp).
+    own node.
     """
     fm = elem.face_nodes
-    interior = mesh.neighbor >= 0
-    ext_elem = np.where(interior, mesh.neighbor, np.arange(mesh.n_elements)[:, None])
-    ext_node = np.where(interior[:, :, None],
-                        fm[:, ::-1][np.where(interior, mesh.neighbor_face, 0)], fm)
-    return ext_elem[:, :, None] * elem.node_count + ext_node
+    interior = (mesh.neighbor >= 0).T
+    ext_elem = np.where(interior, mesh.neighbor.T, np.arange(mesh.n_elements))
+    nbr_face = np.where(interior, mesh.neighbor_face.T, 0)
+    ext_node = np.where(interior[:, None], fm[:, ::-1][nbr_face].transpose(0, 2, 1),
+                        fm[..., None])
+    return ext_node * mesh.n_elements + ext_elem[:, None]
+
+
+def _by_face(a: np.ndarray) -> np.ndarray:
+    """A per-face coefficient (..., K, 3) as a contiguous (..., 3, 1, K)."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2)[..., None, :])
 
 
 def _impedance_weights(imp: FaceImpedance, mesh: Mesh2D, materials: MaterialMap):
@@ -132,31 +148,31 @@ class SpatialOperator:
         self.elem = elem
         self.flux = flux
 
-        n_fp = elem.face_node_count
         self.x, self.y = mesh.map_reference_nodes(elem.r, elem.s)
-        self._fm_flat = elem.face_nodes.ravel()
-        self._trace_shape = (mesh.n_elements, 3, n_fp)
-        self._vp = _exterior_index(mesh, elem)
+        self._vp = _exterior_trace_index(mesh, elem)
         # ghost signs apply at boundary face nodes only (s = 1 elsewhere)
         interior = mesh.neighbor >= 0
-        self._boundary_nodes = np.flatnonzero(np.repeat(~interior, n_fp))
+        self._boundary_nodes = np.flatnonzero(
+            np.broadcast_to(~interior.T[:, None], self._vp.shape))
         self.sign_e, self.sign_h, alpha_b = _boundary_rule(flux.bc, flux.alpha)
         self._check_conforming_traces()
 
         self._init_face_coefficients(np.where(interior, flux.alpha, alpha_b))
 
-        self._lift_t = elem.lift.T.copy()
-        self._d_t = np.hstack([elem.diff_r.T, elem.diff_s.T])  # [Dr^T | Ds^T]
-        self._rx, self._ry, self._sx, self._sy = (
-            g[:, None] for g in (mesh.rx, mesh.ry, mesh.sx, mesh.sy))
-        self._inv_mu = (1.0 / materials.mu)[:, None]
+        self._d_stack = np.vstack([elem.diff_r, elem.diff_s])  # [Dr; Ds]
+        self._d_cat = np.hstack([elem.diff_r, elem.diff_s])    # [Dr | Ds]
         # eps^-1 (dHz/dy, -dHz/dx) = e_vol[0] dHz/dr + e_vol[1] dHz/ds
-        ie0, ie1 = np.ascontiguousarray(materials.inv_eps.transpose(2, 1, 0))  # (2, K) each
+        # contiguous (2, K) rows, so that e_vol's inner axis is K with unit stride
+        ie0, ie1 = np.ascontiguousarray(materials.inv_eps.transpose(2, 1, 0))
         self._e_vol = np.stack([ie0 * mesh.ry - ie1 * mesh.rx,
-                                ie0 * mesh.sy - ie1 * mesh.sx])[..., None]  # (2, 2, K, 1)
+                                ie0 * mesh.sy - ie1 * mesh.sx])[:, :, None]  # (2, 2, 1, K)
+        # per-element factors commute with Dr and Ds, so
+        # mu^-1 curl E = Dr (h_vol[0] . E) + Ds (h_vol[1] . E)
+        self._h_vol = (np.array([[mesh.ry, -mesh.rx], [mesh.sy, -mesh.sx]])
+                       / materials.mu)[:, :, None]  # (2, 2, 1, K)
 
     def _init_face_coefficients(self, alpha: np.ndarray):
-        """Flux coefficients per face, (K, 3, 1) or stacked (2, K, 3, 1).
+        """Flux coefficients per face, (3, 1, K) or stacked (2, 3, 1, K).
 
         alpha is the flux parameter of every face, (K, 3). The
         coefficients fold in edge_length/(2 J), the factor with which face
@@ -172,15 +188,15 @@ class SpatialOperator:
         self._upwind = bool(alpha.any())
         z_w, y_w, z_hz, y_e = _impedance_weights(self.impedance, mesh, self.materials)
         nx, ny = mesh.normals[:, :, 0], mesh.normals[:, :, 1]
-        normal = np.ascontiguousarray(mesh.normals.transpose(2, 0, 1))[..., None]
-        ie0, ie1 = np.ascontiguousarray(self.materials.inv_eps.transpose(2, 1, 0))[..., None]
-        e_dir = (ie1 * nx - ie0 * ny)[..., None]                     # eps^-1 (-ny, nx)
-        self._e_from_h = e_dir * z_hz[..., None]
-        self._h_from_e = normal * y_e[..., None]
+        normal = mesh.normals.transpose(2, 0, 1)                      # (2, K, 3)
+        ie0, ie1 = self.materials.inv_eps.transpose(2, 1, 0)[..., None]
+        e_dir = ie1 * nx - ie0 * ny                                   # eps^-1 (-ny, nx)
+        self._e_from_h = _by_face(e_dir * z_hz)
+        self._h_from_e = _by_face(normal * y_e)
         if self._upwind:
-            self._e_dir = e_dir
-            self._e_from_e = normal * (alpha * z_w)[..., None]
-            self._h_from_h = (alpha * y_w)[..., None]
+            self._e_dir = _by_face(e_dir)
+            self._e_from_e = _by_face(normal * (alpha * z_w))
+            self._h_from_h = _by_face(alpha * y_w)
 
     @property
     def impedance(self) -> FaceImpedance:
@@ -199,52 +215,52 @@ class SpatialOperator:
     # -- surface terms ----------------------------------------------------
 
     def jump(self, u: np.ndarray, sign: float) -> np.ndarray:
-        """Jump u- - s u+ at every face node, shape (K, 3, Nfp).
+        """Jump u- - s u+ at every face node, as a (K, 3, Nfp) view.
 
         s is 1 on interior faces and `sign` (the field's ghost sign,
         sign_e or sign_h) on boundary faces, where u+ is the node's own
         value.
         """
-        minus = u[:, self._fm_flat].reshape(self._trace_shape)
-        plus = u.reshape(-1).take(self._vp)
-        plus.reshape(-1)[self._boundary_nodes] *= sign
-        return minus - plus
+        return self._jump(_node_major(u), sign).transpose(2, 0, 1)
 
-    def _cross_jump(self, ex: np.ndarray, ey: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def _jump(self, u_t: np.ndarray, sign: float) -> np.ndarray:
+        """jump() of a node-major (Np, K) field, shape (3, Nfp, K)."""
+        jump = u_t[self.elem.face_nodes]
+        plus = u_t.reshape(-1).take(self._vp)
+        plus.reshape(-1)[self._boundary_nodes] *= sign
+        jump -= plus
+        return jump
+
+    def _cross_jump(self, ex_t: np.ndarray, ey_t: np.ndarray, w: np.ndarray) -> np.ndarray:
         """w[0] [Ey] - w[1] [Ex]: n x [E] for w = n, with a weight folded in."""
-        return w[0] * self.jump(ey, self.sign_e) - w[1] * self.jump(ex, self.sign_e)
+        return w[0] * self._jump(ey_t, self.sign_e) - w[1] * self._jump(ex_t, self.sign_e)
 
     def _lift(self, face_values: np.ndarray) -> np.ndarray:
-        """LIFT applied to (..., K, 3, Nfp) face values, giving (..., K, Np)."""
-        return face_values.reshape(*face_values.shape[:-2], -1) @ self._lift_t
-
-    def _ref_grad(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(du/dr, du/ds) from one product with [Dr^T | Ds^T]."""
-        g = u @ self._d_t
-        n_p = u.shape[1]
-        return g[:, :n_p], g[:, n_p:]
+        """LIFT applied to (..., 3, Nfp, K) face values, giving (..., Np, K)."""
+        shape = face_values.shape
+        return self.elem.lift @ face_values.reshape(*shape[:-3], -1, shape[-1])
 
     # -- right-hand sides --------------------------------------------------
 
     def rhs_e(self, ex, ey, hz) -> tuple[np.ndarray, np.ndarray]:
         """Time derivative of (Ex, Ey); E jumps feed only the alpha penalty."""
-        flux = self._e_from_h * self.jump(hz, self.sign_h)
+        hz_t = _node_major(hz)
+        flux = self._e_from_h * self._jump(hz_t, self.sign_h)
         if self._upwind:
-            flux -= self._e_dir * self._cross_jump(ex, ey, self._e_from_e)
-        hz_r, hz_s = self._ref_grad(hz)
-        r_e = self._e_vol[0] * hz_r + self._e_vol[1] * hz_s + self._lift(flux)
-        return r_e[0], r_e[1]
+            flux -= self._e_dir * self._cross_jump(
+                _node_major(ex), _node_major(ey), self._e_from_e)
+        grad = (self._d_stack @ hz_t).reshape(2, -1, hz_t.shape[1])  # (d/dr, d/ds)
+        r_e = self._e_vol[0] * grad[0] + self._e_vol[1] * grad[1] + self._lift(flux)
+        return r_e[0].T, r_e[1].T
 
     def rhs_h(self, ex, ey, hz) -> np.ndarray:
         """Time derivative of Hz; the Hz jump feeds only the alpha penalty."""
-        flux = self._cross_jump(ex, ey, self._h_from_e)
+        ex_t, ey_t = _node_major(ex), _node_major(ey)
+        flux = self._cross_jump(ex_t, ey_t, self._h_from_e)
         if self._upwind:
-            flux -= self._h_from_h * self.jump(hz, self.sign_h)
-        ex_r, ex_s = self._ref_grad(ex)
-        ey_r, ey_s = self._ref_grad(ey)
-        curl = (self._ry * ex_r + self._sy * ex_s
-                - self._rx * ey_r - self._sx * ey_s)
-        return self._inv_mu * curl + self._lift(flux)
+            flux -= self._h_from_h * self._jump(_node_major(hz), self.sign_h)
+        curl = self._h_vol[:, 0] * ex_t + self._h_vol[:, 1] * ey_t
+        return (self._d_cat @ curl.reshape(-1, ex_t.shape[1]) + self._lift(flux)).T
 
     def rhs(self, ex, ey, hz):
         """Full semi-discrete right-hand side (rEx, rEy, rHz)."""

@@ -27,7 +27,7 @@ DEFAULT_BLOWUP_FACTOR = 1e6
 
 @dataclass
 class FieldState:
-    """Staggered solution arrays of shape (K, Np).
+    """Staggered solution arrays of shape (K, Np), stored node-major (Fortran order).
 
     Ex and Ey are values at time level `step`; Hz sits half a step later.
     Times are derived from the step index, never accumulated.
@@ -48,7 +48,7 @@ class FieldState:
         return (self.step + 0.5) * self.dt
 
     def copy(self) -> "FieldState":
-        return FieldState(self.Ex.copy(), self.Ey.copy(), self.Hz.copy(),
+        return FieldState(self.Ex.copy("K"), self.Ey.copy("K"), self.Hz.copy("K"),
                           self.dt, self.step)
 
 
@@ -77,13 +77,13 @@ def discrete_energy(state: FieldState, mesh: Mesh2D, materials: MaterialMap,
     matrix; nonnegative, and zero only for the zero state.
     """
     m = elem.mass
-    mex = state.Ex @ m
-    mey = state.Ey @ m
-    mhz = state.Hz @ m
-    i_xx = np.einsum("ki,ki->k", state.Ex, mex)
-    i_xy = np.einsum("ki,ki->k", state.Ex, mey)
-    i_yy = np.einsum("ki,ki->k", state.Ey, mey)
-    i_hh = np.einsum("ki,ki->k", state.Hz, mhz)
+    # node-major (Np, K) views of the fields, so each sum runs along K
+    ex, ey, hz = state.Ex.T, state.Ey.T, state.Hz.T
+    mey = m @ ey
+    i_xx = np.einsum("ik,ik->k", ex, m @ ex)
+    i_xy = np.einsum("ik,ik->k", ex, mey)
+    i_yy = np.einsum("ik,ik->k", ey, mey)
+    i_hh = np.einsum("ik,ik->k", hz, m @ hz)
     eps = materials.eps
     total = (
         eps[:, 0, 0] * i_xx + 2.0 * eps[:, 0, 1] * i_xy + eps[:, 1, 1] * i_yy
@@ -179,7 +179,7 @@ def initial_conditions(name, mesh: Mesh2D, elem: ReferenceElement,
     x, y = mesh.map_reference_nodes(elem.r, elem.s)
     zeros = np.zeros_like(x)
     if callable(name):
-        hz = np.asarray(name(x, y, dt), dtype=float)
+        hz = np.asfortranarray(name(x, y, dt), dtype=float)
         if hz.shape != x.shape:
             raise ConfigError("custom initial condition returned a bad shape")
     elif name == "pec_cosine":
@@ -188,10 +188,10 @@ def initial_conditions(name, mesh: Mesh2D, elem: ReferenceElement,
     elif name == "sm_sine":
         hz = math.sin(math.pi * dt / 2.0) * np.sin(np.pi * x * y)
     elif name == "zero":
-        hz = zeros.copy()
+        hz = zeros.copy("K")
     else:
         raise ConfigError(f"unknown initial condition {name!r}")
-    return FieldState(zeros.copy(), zeros.copy(), hz, dt=dt, step=0)
+    return FieldState(zeros.copy("K"), zeros.copy("K"), hz, dt=dt, step=0)
 
 
 def standing_mode_frequency(materials: MaterialMap) -> float:

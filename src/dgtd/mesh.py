@@ -85,7 +85,7 @@ class Mesh2D:
     def map_reference_nodes(self, r, s) -> tuple[np.ndarray, np.ndarray]:
         """Map reference coordinates to physical ones for every element.
 
-        Returns x, y arrays of shape (K, len(r)).
+        Returns node-major (Fortran-order) x, y arrays of shape (K, len(r)).
         """
         r = np.asarray(r, dtype=float)
         s = np.asarray(s, dtype=float)
@@ -93,9 +93,9 @@ class Mesh2D:
         lam0 = -0.5 * (r + s)
         lam1 = 0.5 * (1.0 + r)
         lam2 = 0.5 * (1.0 + s)
-        x = np.outer(v[:, 0, 0], lam0) + np.outer(v[:, 1, 0], lam1) + np.outer(v[:, 2, 0], lam2)
-        y = np.outer(v[:, 0, 1], lam0) + np.outer(v[:, 1, 1], lam1) + np.outer(v[:, 2, 1], lam2)
-        return x, y
+        x = np.outer(lam0, v[:, 0, 0]) + np.outer(lam1, v[:, 1, 0]) + np.outer(lam2, v[:, 2, 0])
+        y = np.outer(lam0, v[:, 0, 1]) + np.outer(lam1, v[:, 1, 1]) + np.outer(lam2, v[:, 2, 1])
+        return x.T, y.T
 
 
 def build_connectivity(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,6 +312,9 @@ def load_mesh(path, reorient: bool = False) -> Mesh2D:
         except ValueError as exc:
             raise MeshError(f"{path}: bad count on '{tag}' line") from exc
         pos += 1
+        if not 0 <= count <= len(lines) - pos:
+            raise MeshError(f"{path}: count on '{tag}' line is negative or exceeds "
+                            f"the number of lines after it ({len(lines) - pos})")
         return count
 
     n_v = expect_count("V")
@@ -332,7 +335,7 @@ def load_mesh(path, reorient: bool = False) -> Mesh2D:
             raise MeshError(f"{path}: triangle {k}: expected 'i j k'")
         try:
             triangles[k] = [int(t) for t in lines[pos]]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # not an int, or beyond int64
             raise MeshError(f"{path}: triangle {k}: bad vertex index") from exc
         pos += 1
 

@@ -195,7 +195,7 @@ def symmetric_hh_operator(op: SpatialOperator) -> LinearOperator:
     the mu J M inner product of Hz, so in y it is symmetric.
     """
     shape = op.x.shape
-    zero = np.zeros(shape)
+    zero = np.zeros_like(op.x)
     chol = np.linalg.cholesky(op.elem.mass)
     chol_inv = scipy.linalg.solve_triangular(chol, np.eye(len(chol)), lower=True)
     weight = np.sqrt(op.materials.mu * op.mesh.jac)[:, None]

@@ -126,6 +126,18 @@ def test_bound_on_empty_mesh_file_is_a_config_error(tmp_path, capsys):
     assert "mesh has no triangles" in err
 
 
+def test_bound_on_mesh_file_with_huge_index_is_a_config_error(tmp_path, capsys):
+    mesh = write(tmp_path, "huge.txt",
+                 "dgtd-mesh v1\nV 3\n0 0\n1 0\n0 1\nT 1\n0 1 99999999999999999999\n")
+    text = PEC_CONFIG.replace("kind = structured\ncells = 5",
+                              f"kind = file\npath = {mesh}")
+    cfg = write(tmp_path, "run.cfg", text)
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "triangle 0: bad vertex index" in err
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -7,11 +7,15 @@ from dgtd import (
     FluxParams,
     MaterialMap,
     PermittivityTensor,
+    RunConfig,
     SpatialOperator,
     build_reference_element,
+    initial_conditions,
     mesh_from_arrays,
+    run,
     structured_square_mesh,
 )
+from dgtd.dg_core import _node_major
 from helpers import DenseRhsOracle, boundary_ghost, numerical_flux, random_spd_tensor
 
 EPS_ANISO = PermittivityTensor(5.0, 1.0, 1.0, 3.0)
@@ -350,3 +354,69 @@ def test_rhs_is_the_two_half_step_kernels():
               op.rhs_h(state.Ex, state.Ey, state.Hz))
     for a, b in zip(full, halves):
         np.testing.assert_array_equal(a, b)
+
+
+# --- storage layout ----------------------------------------------------------
+# Fields are (K, Np) arrays stored node-major (Fortran order). These tests keep
+# the kernels on that layout: a C-order field must give the same numbers, and
+# a Fortran-order one must reach the kernels and come back without a copy.
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("bc", ["PEC", "PMC", "SM"])
+def test_kernels_agree_on_c_and_fortran_order(order, alpha, bc):
+    rng = np.random.default_rng(100 * order + 10 * int(alpha) + len(bc))
+    mesh = structured_square_mesh(3)
+    eps = np.stack([random_spd_tensor(rng) for _ in range(mesh.n_elements)])
+    mats = MaterialMap(eps, rng.uniform(0.5, 2.0, size=mesh.n_elements))
+    op = SpatialOperator(mesh, mats, build_reference_element(order),
+                         FluxParams(alpha=alpha, bc=bc))
+    shape = (mesh.n_elements, op.elem.node_count)
+    fields_c = [rng.standard_normal(shape) for _ in range(3)]
+    fields_f = [np.asfortranarray(u) for u in fields_c]
+    assert all(u.flags.c_contiguous for u in fields_c)
+    assert all(u.flags.f_contiguous for u in fields_f)
+
+    def check(got_c, got_f):
+        scale = max(np.abs(got_c).max(), 1e-300)
+        assert np.abs(got_c - got_f).max() <= 1e-14 * scale
+
+    for got_c, got_f in zip((*op.rhs_e(*fields_c), op.rhs_h(*fields_c)),
+                            (*op.rhs_e(*fields_f), op.rhs_h(*fields_f))):
+        assert got_f.shape == shape and got_f.flags.f_contiguous
+        check(got_c, got_f)
+    for u_c, u_f in zip(fields_c, fields_f):
+        for sign in (op.sign_e, op.sign_h):
+            jump_f = op.jump(u_f, sign)
+            assert jump_f.shape == (mesh.n_elements, 3, op.elem.face_node_count)
+            assert jump_f.transpose(1, 2, 0).flags.c_contiguous  # a (3, Nfp, K) view
+            check(op.jump(u_c, sign), jump_f)
+        assert np.shares_memory(_node_major(u_f), u_f)
+        assert not np.shares_memory(_node_major(u_c), u_c)
+
+
+@pytest.mark.parametrize("name", ["pec_cosine", "sm_sine", "zero", "callable"])
+def test_initial_conditions_are_fortran_order(name):
+    mesh = structured_square_mesh(3)
+    elem = build_reference_element(2)
+    mats = MaterialMap.uniform(mesh.n_elements, EPS_ANISO, 1.0)
+    if name == "callable":  # a C-order result is stored node-major too
+        name = lambda x, y, dt: np.ascontiguousarray(x * y)
+    state = initial_conditions(name, mesh, elem, mats, 0.01)
+    for u in (state.Ex, state.Ey, state.Hz):
+        assert u.shape == (mesh.n_elements, elem.node_count)
+        assert u.flags.f_contiguous
+    assert not np.shares_memory(state.Ex, state.Ey)
+    copy = state.copy()
+    assert all(u.flags.f_contiguous for u in (copy.Ex, copy.Ey, copy.Hz))
+
+
+@pytest.mark.parametrize("bc,alpha,initial", [("PEC", 0.0, "pec_cosine"),
+                                              ("SM", 1.0, "sm_sine")])
+def test_run_keeps_fields_fortran_order(bc, alpha, initial):
+    op = make_op(structured_square_mesh(4), order=2, alpha=alpha, bc=bc)
+    state0 = initial_conditions(initial, op.mesh, op.elem, op.materials, 0.005)
+    result = run(state0, op, RunConfig(dt=0.005, final_time=10 * 0.005))
+    assert result.completed and result.state.step == 10
+    for u in (result.state.Ex, result.state.Ey, result.state.Hz):
+        assert u.flags.f_contiguous

@@ -137,6 +137,16 @@ def test_load_clockwise_triangle_reoriented_or_rejected(tmp_path):
     ("dgtd-mesh v1\nV 3\n0 0\n1 0\n0 1\nT 1\n0 1 1\n", "repeated"),
     ("dgtd-mesh v1\nV 3\n0 0\n1 0\n0 1\nT 1\n0 1\n", "expected"),
     ("dgtd-mesh v1\nV 3\n0 0\nbad 0\n0 1\nT 1\n0 1 2\n", "coordinate"),
+    # integers out of range, which used to escape as OverflowError or ValueError
+    pytest.param("dgtd-mesh v1\nV 3\n0 0\n1 0\n0 1\nT 1\n0 1 99999999999999999999\n",
+                 "triangle 0: bad vertex index", id="index-beyond-int64"),
+    pytest.param("dgtd-mesh v1\nV -1\nT 0\n", "count on 'V' line is negative", id="negative-V"),
+    pytest.param("dgtd-mesh v1\nV 3\n0 0\n1 0\n0 1\nT -2\n",
+                 "count on 'T' line is negative", id="negative-T"),
+    pytest.param("dgtd-mesh v1\nV 99999999999999999999\n0 0\n",
+                 r"count on 'V' line .* \(1\)", id="V-beyond-max-dim"),
+    pytest.param("dgtd-mesh v1\nV 3\n0 0\n1 0\n0 1\nT 1000000000000\n0 1 2\n",
+                 r"count on 'T' line .* \(1\)", id="T-beyond-file"),
 ])
 def test_load_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "bad.txt"
