@@ -11,21 +11,24 @@ evaluates, per element,
     mu  dHz/dt =  dEx/dy - dEy/dx + face terms,
 
 with the element coupling carried entirely by an impedance-weighted
-numerical flux of the field jumps, interpolated between a central
-(alpha = 0) and an upwind (alpha = 1) form. Boundary faces synthesize an
-exterior ghost trace u+ = s u- from one sign table: PEC mirrors the
-tangential electric field, PMC the magnetic one, and the Silver-Muller
-absorbing condition uses a zero exterior state with the flux forced to
-its upwind form.
+numerical flux of the jumps [Hz] and n x [E], interpolated between a
+central (alpha = 0) and an upwind (alpha = 1) form. Boundary faces
+synthesize an exterior ghost trace u+ = s u- from one sign table: PEC
+mirrors the tangential electric field, PMC the magnetic one, and the
+Silver-Muller absorbing condition uses a zero exterior state with the
+flux forced to its upwind form.
 
-The leap-frog scheme evaluates the E and H updates separately, so each
-half-step kernel (rhs_e, rhs_h) gathers only the jumps its flux
-component reads: the Hz jump for E and the E jumps for Hz, plus the
-field's own jumps when some face has alpha > 0. The flux coefficients
-are precomputed per face with the face scaling, the normals, the
-impedance weights, alpha and the material inverse folded in
-(Hesthaven & Warburton, Nodal Discontinuous Galerkin Methods, 2008,
-ch. 3 and 6).
+Traces are face-major, (Nfp, 3, K). The exterior trace gathers the
+neighbor's (face, element) column, node rows reversed since the neighbor
+walks the edge the other way. Both sides take an interior face's normal
+from the same two vertices, so n+ = -n- exactly (checked at set-up) and
+n- x [E] = t- + t+ with t = nx Ey - ny Ex on each own trace: one gather,
+like [Hz]. A boundary's t+ = -s_E t- gives the ghost rule's (1 - s_E) t-.
+rhs_e gathers [Hz], rhs_h n x [E], each the other only if some alpha > 0.
+The flux coefficients fold in the face scaling, the impedance weights,
+alpha and the material inverse (Hesthaven & Warburton, Nodal
+Discontinuous Galerkin Methods, 2008, ch. 3 and 6; Kloeckner et al.,
+JCP 228, 2009).
 """
 
 from __future__ import annotations
@@ -97,26 +100,9 @@ def _node_major(u: np.ndarray) -> np.ndarray:
     return np.asfortranarray(u).T
 
 
-def _exterior_trace_index(mesh: Mesh2D, elem: ReferenceElement) -> np.ndarray:
-    """Flat index into a node-major (Np, K) field of every face node's
-    exterior trace, shape (3, Nfp, K).
-
-    The neighbor walks the shared edge in the opposite direction, so its
-    face-node order is reversed; a boundary face points at the element's
-    own node.
-    """
-    fm = elem.face_nodes
-    interior = (mesh.neighbor >= 0).T
-    ext_elem = np.where(interior, mesh.neighbor.T, np.arange(mesh.n_elements))
-    nbr_face = np.where(interior, mesh.neighbor_face.T, 0)
-    ext_node = np.where(interior[:, None], fm[:, ::-1][nbr_face].transpose(0, 2, 1),
-                        fm[..., None])
-    return ext_node * mesh.n_elements + ext_elem[:, None]
-
-
 def _by_face(a: np.ndarray) -> np.ndarray:
-    """A per-face coefficient (..., K, 3) as a contiguous (..., 3, 1, K)."""
-    return np.ascontiguousarray(np.swapaxes(a, -1, -2)[..., None, :])
+    """A per-face coefficient (..., K, 3) as a contiguous (..., 1, 3, K)."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2)[..., None, :, :])
 
 
 def _impedance_weights(imp: FaceImpedance, mesh: Mesh2D, materials: MaterialMap):
@@ -149,18 +135,24 @@ class SpatialOperator:
         self.flux = flux
 
         self.x, self.y = mesh.map_reference_nodes(elem.r, elem.s)
-        self._vp = _exterior_trace_index(mesh, elem)
-        # ghost signs apply at boundary face nodes only (s = 1 elsewhere)
+        # face f of element k is column f K + k of a face-major trace; its
+        # exterior is the neighbor's (face, element), or itself on a boundary
         interior = mesh.neighbor >= 0
-        self._boundary_nodes = np.flatnonzero(
-            np.broadcast_to(~interior.T[:, None], self._vp.shape))
+        k = mesh.n_elements
+        self._ext_face = np.where(interior.T, mesh.neighbor_face.T * k + mesh.neighbor.T,
+                                  np.arange(3 * k).reshape(3, k)).ravel()
+        self._boundary = np.flatnonzero(~interior.T)
+        self._face_nodes = np.ascontiguousarray(elem.face_nodes.T)  # (Nfp, 3)
         self.sign_e, self.sign_h, alpha_b = _boundary_rule(flux.bc, flux.alpha)
         self._check_conforming_traces()
 
         self._init_face_coefficients(np.where(interior, flux.alpha, alpha_b))
 
-        self._d_stack = np.vstack([elem.diff_r, elem.diff_s])  # [Dr; Ds]
-        self._d_cat = np.hstack([elem.diff_r, elem.diff_s])    # [Dr | Ds]
+        n_p = elem.node_count
+        # LIFT's columns in the (Nfp, 3) row order of a face-major flux
+        self._lift = elem.lift.reshape(n_p, 3, -1).transpose(0, 2, 1).reshape(n_p, -1)
+        self._d_stack = np.vstack([elem.diff_r, elem.diff_s])                # [Dr; Ds]
+        self._h_cat = np.hstack([elem.diff_r, elem.diff_s, self._lift])     # [Dr | Ds | LIFT]
         # eps^-1 (dHz/dy, -dHz/dx) = e_vol[0] dHz/dr + e_vol[1] dHz/ds
         # contiguous (2, K) rows, so that e_vol's inner axis is K with unit stride
         ie0, ie1 = np.ascontiguousarray(materials.inv_eps.transpose(2, 1, 0))
@@ -172,7 +164,7 @@ class SpatialOperator:
                        / materials.mu)[:, :, None]  # (2, 2, 1, K)
 
     def _init_face_coefficients(self, alpha: np.ndarray):
-        """Flux coefficients per face, (3, 1, K) or stacked (2, 3, 1, K).
+        """Flux coefficients per face, (1, 3, K) or stacked (2, 1, 3, K).
 
         alpha is the flux parameter of every face, (K, 3). The
         coefficients fold in edge_length/(2 J), the factor with which face
@@ -182,20 +174,24 @@ class SpatialOperator:
             f_E = e_dir (z+ [Hz] - alpha n x [E]) / (z+ + z-),
             f_H = (y+ n x [E] - alpha [Hz]) / ((y+ + y-) mu),
 
-        with e_dir = eps^-1 (-ny, nx).
+        with e_dir = eps^-1 (-ny, nx). The normals enter through n x [E].
         """
         mesh = self.mesh
         self._upwind = bool(alpha.any())
         z_w, y_w, z_hz, y_e = _impedance_weights(self.impedance, mesh, self.materials)
         nx, ny = mesh.normals[:, :, 0], mesh.normals[:, :, 1]
-        normal = mesh.normals.transpose(2, 0, 1)                      # (2, K, 3)
         ie0, ie1 = self.materials.inv_eps.transpose(2, 1, 0)[..., None]
         e_dir = ie1 * nx - ie0 * ny                                   # eps^-1 (-ny, nx)
+        self._normal = _by_face(mesh.normals.transpose(2, 0, 1))      # (2, 1, 3, K)
+        n = self._normal.reshape(2, -1)
+        opposed = (n[:, self._ext_face] == -n).all(axis=0)
+        if not np.delete(opposed, self._boundary).all():
+            raise MeshError("neighboring faces' normals are not exact opposites")
         self._e_from_h = _by_face(e_dir * z_hz)
-        self._h_from_e = _by_face(normal * y_e)
+        self._h_from_e = _by_face(y_e)
         if self._upwind:
             self._e_dir = _by_face(e_dir)
-            self._e_from_e = _by_face(normal * (alpha * z_w))
+            self._e_from_e = _by_face(alpha * z_w)
             self._h_from_h = _by_face(alpha * y_w)
 
     @property
@@ -221,46 +217,57 @@ class SpatialOperator:
         sign_e or sign_h) on boundary faces, where u+ is the node's own
         value.
         """
-        return self._jump(_node_major(u), sign).transpose(2, 0, 1)
+        return self._minus_plus(_node_major(u), sign).transpose(2, 1, 0)
 
-    def _jump(self, u_t: np.ndarray, sign: float) -> np.ndarray:
-        """jump() of a node-major (Np, K) field, shape (3, Nfp, K)."""
-        jump = u_t[self.elem.face_nodes]
-        plus = u_t.reshape(-1).take(self._vp)
-        plus.reshape(-1)[self._boundary_nodes] *= sign
-        jump -= plus
-        return jump
+    def _exterior(self, trace: np.ndarray, sign: float) -> np.ndarray:
+        """Exterior trace: the neighbor's face with its node rows reversed,
+        or `sign` times the own trace on a boundary face."""
+        flat = trace.reshape(len(trace), -1)
+        plus = flat.take(self._ext_face, axis=1)[::-1]
+        plus[:, self._boundary] = sign * flat[:, self._boundary]
+        return plus.reshape(trace.shape)
 
-    def _cross_jump(self, ex_t: np.ndarray, ey_t: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """w[0] [Ey] - w[1] [Ex]: n x [E] for w = n, with a weight folded in."""
-        return w[0] * self._jump(ey_t, self.sign_e) - w[1] * self._jump(ex_t, self.sign_e)
+    def _minus_plus(self, u_t: np.ndarray, sign: float) -> np.ndarray:
+        """jump() of a node-major (Np, K) field, face-major (Nfp, 3, K)."""
+        trace = u_t[self._face_nodes]
+        trace -= self._exterior(trace, sign)
+        return trace
 
-    def _lift(self, face_values: np.ndarray) -> np.ndarray:
-        """LIFT applied to (..., 3, Nfp, K) face values, giving (..., Np, K)."""
-        shape = face_values.shape
-        return self.elem.lift @ face_values.reshape(*shape[:-3], -1, shape[-1])
+    def _tangential(self, ex_t: np.ndarray, ey_t: np.ndarray) -> np.ndarray:
+        """n x [E] = t- + t+, t = nx Ey - ny Ex: one exterior gather."""
+        t, ex_n = ey_t[self._face_nodes], ex_t[self._face_nodes]
+        t *= self._normal[0]
+        ex_n *= self._normal[1]
+        t -= ex_n
+        t += self._exterior(t, -self.sign_e)
+        return t
 
     # -- right-hand sides --------------------------------------------------
 
     def rhs_e(self, ex, ey, hz) -> tuple[np.ndarray, np.ndarray]:
         """Time derivative of (Ex, Ey); E jumps feed only the alpha penalty."""
         hz_t = _node_major(hz)
-        flux = self._e_from_h * self._jump(hz_t, self.sign_h)
+        flux = self._e_from_h * self._minus_plus(hz_t, self.sign_h)
         if self._upwind:
-            flux -= self._e_dir * self._cross_jump(
-                _node_major(ex), _node_major(ey), self._e_from_e)
+            flux -= self._e_dir * (self._e_from_e * self._tangential(
+                _node_major(ex), _node_major(ey)))
         grad = (self._d_stack @ hz_t).reshape(2, -1, hz_t.shape[1])  # (d/dr, d/ds)
-        r_e = self._e_vol[0] * grad[0] + self._e_vol[1] * grad[1] + self._lift(flux)
+        r_e = self._e_vol[0] * grad[0] + self._e_vol[1] * grad[1]
+        r_e += self._lift @ flux.reshape(2, -1, hz_t.shape[1])
         return r_e[0].T, r_e[1].T
 
     def rhs_h(self, ex, ey, hz) -> np.ndarray:
-        """Time derivative of Hz; the Hz jump feeds only the alpha penalty."""
+        """Time derivative of Hz, one product [Dr | Ds | LIFT] @ [h_vol . E; flux]."""
         ex_t, ey_t = _node_major(ex), _node_major(ey)
-        flux = self._cross_jump(ex_t, ey_t, self._h_from_e)
+        n_p, k = ex_t.shape
+        block = np.empty((self._h_cat.shape[1], k))
+        curl, flux = block[:2 * n_p].reshape(2, n_p, k), block[2 * n_p:].reshape(-1, 3, k)
+        np.multiply(self._h_vol[:, 0], ex_t, out=curl)
+        curl += self._h_vol[:, 1] * ey_t
+        np.multiply(self._h_from_e, self._tangential(ex_t, ey_t), out=flux)
         if self._upwind:
-            flux -= self._h_from_h * self._jump(_node_major(hz), self.sign_h)
-        curl = self._h_vol[:, 0] * ex_t + self._h_vol[:, 1] * ey_t
-        return (self._d_cat @ curl.reshape(-1, ex_t.shape[1]) + self._lift(flux)).T
+            flux -= self._h_from_h * self._minus_plus(_node_major(hz), self.sign_h)
+        return (self._h_cat @ block).T
 
     def rhs(self, ex, ey, hz):
         """Full semi-discrete right-hand side (rEx, rEy, rHz)."""

@@ -283,6 +283,33 @@ def boundary_ghost(bc: str, alpha: float, interior_trace):
     return (s_e * ex, s_e * ey, s_h * hz), alpha_b
 
 
+def exterior_trace_index(mesh, elem) -> np.ndarray:
+    """Flat index into a node-major (Np, K) field of every face node's
+    exterior trace, shape (3, Nfp, K), built node by node.
+
+    The neighbor walks the shared edge in the opposite direction, so its
+    face-node order is reversed; a boundary face points at the element's
+    own node.
+    """
+    fm = elem.face_nodes
+    interior = (mesh.neighbor >= 0).T
+    ext_elem = np.where(interior, mesh.neighbor.T, np.arange(mesh.n_elements))
+    nbr_face = np.where(interior, mesh.neighbor_face.T, 0)
+    ext_node = np.where(interior[:, None], fm[:, ::-1][nbr_face].transpose(0, 2, 1),
+                        fm[..., None])
+    return ext_node * mesh.n_elements + ext_elem[:, None]
+
+
+def node_index_jump(mesh, elem, u, sign):
+    """u- - s u+ at every face node, (K, 3, Nfp), through the node index of
+    `exterior_trace_index`; s is 1 on interior faces and `sign` on boundary
+    faces, where u+ is the node's own value."""
+    u_t = np.asfortranarray(u).T
+    plus = u_t.reshape(-1).take(exterior_trace_index(mesh, elem))
+    plus[np.broadcast_to((mesh.neighbor < 0).T[:, None], plus.shape)] *= sign
+    return (u_t[elem.face_nodes] - plus).transpose(2, 0, 1)
+
+
 def l2_norm_squared(mesh, values_at_quad, qw):
     """Sum over elements of integral of values^2 (values: (K, nq))."""
     return float(np.dot(mesh.jac, (values_at_quad**2 @ qw)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,17 +8,26 @@ from dgtd import (
     FieldState,
     FluxParams,
     MaterialMap,
+    MeshError,
     PermittivityTensor,
     RunConfig,
     SpatialOperator,
     build_reference_element,
     initial_conditions,
+    load_mesh,
     mesh_from_arrays,
     run,
+    save_mesh,
     structured_square_mesh,
 )
 from dgtd.dg_core import _node_major
-from helpers import DenseRhsOracle, boundary_ghost, numerical_flux, random_spd_tensor
+from helpers import (
+    DenseRhsOracle,
+    boundary_ghost,
+    node_index_jump,
+    numerical_flux,
+    random_spd_tensor,
+)
 
 EPS_ANISO = PermittivityTensor(5.0, 1.0, 1.0, 3.0)
 
@@ -40,7 +51,68 @@ def two_element_meshes():
     yield mesh_from_arrays(verts, [[0, 1, 2], [0, 2, 3]])
 
 
+def relabelled_mesh(rng, cells=4, jitter=0.2):
+    """structured_square_mesh(cells) with its interior vertices moved by up
+    to `jitter` cells, then its vertex labels, triangle order and each
+    triangle's first vertex shuffled."""
+    base = structured_square_mesh(cells, diagonal="backslash")
+    verts = base.vertices.copy()
+    inner = (np.abs(verts) < 1.0 - 1e-12).all(axis=1)
+    verts[inner] += jitter * (2.0 / cells) * rng.uniform(-1.0, 1.0, (inner.sum(), 2))
+    labels = rng.permutation(len(verts))
+    moved = np.empty_like(verts)
+    moved[labels] = verts
+    tris = labels[base.triangles][rng.permutation(base.n_elements)]
+    shift = rng.integers(0, 3, len(tris))
+    return mesh_from_arrays(moved, tris[np.arange(len(tris))[:, None],
+                                        (np.arange(3) + shift[:, None]) % 3])
+
+
 # --- traces ----------------------------------------------------------------
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("bc", ["PEC", "PMC", "SM"])
+def test_jump_matches_node_index_oracle_bitwise(order, bc):
+    rng = np.random.default_rng(10 * order + len(bc))
+    meshes = [structured_square_mesh(3, diagonal=d) for d in ("slash", "backslash")]
+    meshes.append(relabelled_mesh(rng))
+    for mesh in meshes:
+        op = make_op(mesh, order=order, bc=bc)
+        u = np.asfortranarray(rng.standard_normal(op.x.shape))
+        for sign in (op.sign_e, op.sign_h):
+            got = np.ascontiguousarray(op.jump(u, sign))
+            want = np.ascontiguousarray(node_index_jump(mesh, op.elem, u, sign))
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_neighboring_normals_are_exact_opposites(tmp_path):
+    # the face-major n x [E] rests on n+ = -n- holding to the last bit
+    meshes = [structured_square_mesh(c, diagonal=d)
+              for c in range(1, 21) for d in ("slash", "backslash")]
+    meshes.append(relabelled_mesh(np.random.default_rng(4), cells=6))
+    save_mesh(meshes[-1], tmp_path / "mesh.txt")
+    meshes.append(load_mesh(tmp_path / "mesh.txt"))
+    for mesh in meshes:
+        interior = mesh.neighbor >= 0
+        n_plus = mesh.normals[mesh.neighbor, mesh.neighbor_face]
+        assert (n_plus[interior] == -mesh.normals[interior]).all()
+        make_op(mesh, order=1)  # the operator's own check passes
+
+
+def test_operator_rejects_normals_that_are_not_exact_opposites():
+    mesh = structured_square_mesh(3)
+    k, f = np.argwhere(mesh.neighbor >= 0)[0]
+    normals = mesh.normals.copy()
+    normals[k, f, 0] = np.nextafter(normals[k, f, 0], 2.0)
+    with pytest.raises(MeshError, match="normals"):
+        make_op(dataclasses.replace(mesh, normals=normals))
+    # a boundary face has no neighbor to disagree with
+    k, f = np.argwhere(mesh.neighbor < 0)[0]
+    normals = mesh.normals.copy()
+    normals[k, f, 0] = np.nextafter(normals[k, f, 0], 2.0)
+    make_op(dataclasses.replace(mesh, normals=normals))
+
 
 def test_continuous_field_has_zero_interior_jumps():
     mesh = structured_square_mesh(3)
@@ -389,7 +461,7 @@ def test_kernels_agree_on_c_and_fortran_order(order, alpha, bc):
         for sign in (op.sign_e, op.sign_h):
             jump_f = op.jump(u_f, sign)
             assert jump_f.shape == (mesh.n_elements, 3, op.elem.face_node_count)
-            assert jump_f.transpose(1, 2, 0).flags.c_contiguous  # a (3, Nfp, K) view
+            assert jump_f.transpose(2, 1, 0).flags.c_contiguous  # a (Nfp, 3, K) view
             check(op.jump(u_c, sign), jump_f)
         assert np.shares_memory(_node_major(u_f), u_f)
         assert not np.shares_memory(_node_major(u_c), u_c)
