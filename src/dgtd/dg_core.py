@@ -24,7 +24,9 @@ walks the edge the other way. Both sides take an interior face's normal
 from the same two vertices, so n+ = -n- exactly (checked at set-up) and
 n- x [E] = t- + t+ with t = nx Ey - ny Ex on each own trace: one gather,
 like [Hz]. A boundary's t+ = -s_E t- gives the ghost rule's (1 - s_E) t-.
-rhs_e gathers [Hz], rhs_h n x [E], each the other only if some alpha > 0.
+rhs_e reads [Hz] and rhs_h reads n x [E], each the other only if some
+alpha > 0; either takes a jump passed in instead of gathering it, so a
+leap-frog step gathers each of [Hz] and n x [E] once.
 The flux coefficients fold in the face scaling, the impedance weights,
 alpha and the material inverse (Hesthaven & Warburton, Nodal
 Discontinuous Galerkin Methods, 2008, ch. 3 and 6; Kloeckner et al.,
@@ -177,7 +179,8 @@ class SpatialOperator:
         with e_dir = eps^-1 (-ny, nx). The normals enter through n x [E].
         """
         mesh = self.mesh
-        self._upwind = bool(alpha.any())
+        # some face penalises the jumps: each half-step then reads both
+        self.penalised = bool(alpha.any())
         z_w, y_w, z_hz, y_e = _impedance_weights(self.impedance, mesh, self.materials)
         nx, ny = mesh.normals[:, :, 0], mesh.normals[:, :, 1]
         ie0, ie1 = self.materials.inv_eps.transpose(2, 1, 0)[..., None]
@@ -189,7 +192,7 @@ class SpatialOperator:
             raise MeshError("neighboring faces' normals are not exact opposites")
         self._e_from_h = _by_face(e_dir * z_hz)
         self._h_from_e = _by_face(y_e)
-        if self._upwind:
+        if self.penalised:
             self._e_dir = _by_face(e_dir)
             self._e_from_e = _by_face(alpha * z_w)
             self._h_from_h = _by_face(alpha * y_w)
@@ -233,9 +236,14 @@ class SpatialOperator:
         trace -= self._exterior(trace, sign)
         return trace
 
-    def _tangential(self, ex_t: np.ndarray, ey_t: np.ndarray) -> np.ndarray:
-        """n x [E] = t- + t+, t = nx Ey - ny Ex: one exterior gather."""
-        t, ex_n = ey_t[self._face_nodes], ex_t[self._face_nodes]
+    def hz_jump(self, hz) -> np.ndarray:
+        """[Hz] at every face node, face-major (Nfp, 3, K): one exterior gather."""
+        return self._minus_plus(_node_major(hz), self.sign_h)
+
+    def e_cross(self, ex, ey) -> np.ndarray:
+        """n x [E] = t- + t+, t = nx Ey - ny Ex, face-major (Nfp, 3, K):
+        one exterior gather."""
+        t, ex_n = _node_major(ey)[self._face_nodes], _node_major(ex)[self._face_nodes]
         t *= self._normal[0]
         ex_n *= self._normal[1]
         t -= ex_n
@@ -244,31 +252,44 @@ class SpatialOperator:
 
     # -- right-hand sides --------------------------------------------------
 
-    def rhs_e(self, ex, ey, hz) -> tuple[np.ndarray, np.ndarray]:
-        """Time derivative of (Ex, Ey); E jumps feed only the alpha penalty."""
+    def rhs_e(self, ex, ey, hz, hz_jump=None, e_cross=None) -> tuple[np.ndarray, np.ndarray]:
+        """Time derivative of (Ex, Ey); E jumps feed only the alpha penalty.
+
+        hz_jump and e_cross, if given, are hz_jump(hz) and e_cross(ex, ey)
+        and are only read. The two returned Fortran-order fields are new
+        arrays (halves of one block) that the caller owns.
+        """
         hz_t = _node_major(hz)
-        flux = self._e_from_h * self._minus_plus(hz_t, self.sign_h)
-        if self._upwind:
-            flux -= self._e_dir * (self._e_from_e * self._tangential(
-                _node_major(ex), _node_major(ey)))
+        if hz_jump is None:
+            hz_jump = self.hz_jump(hz)
+        flux = self._e_from_h * hz_jump
+        if self.penalised:
+            if e_cross is None:
+                e_cross = self.e_cross(ex, ey)
+            flux -= self._e_dir * (self._e_from_e * e_cross)
         grad = (self._d_stack @ hz_t).reshape(2, -1, hz_t.shape[1])  # (d/dr, d/ds)
         r_e = self._e_vol[0] * grad[0] + self._e_vol[1] * grad[1]
         r_e += self._lift @ flux.reshape(2, -1, hz_t.shape[1])
         return r_e[0].T, r_e[1].T
 
-    def rhs_h(self, ex, ey, hz) -> np.ndarray:
-        """Time derivative of Hz, one product [Dr | Ds | LIFT] @ [h_vol . E; flux]."""
+    def rhs_h(self, ex, ey, hz, e_cross=None, hz_jump=None) -> np.ndarray:
+        """Time derivative of Hz, one product [Dr | Ds | LIFT] @ [h_vol . E; flux].
+
+        e_cross and hz_jump, if given, are e_cross(ex, ey) and hz_jump(hz)
+        and are only read. The returned Fortran-order field is a new
+        array that the caller owns.
+        """
         ex_t, ey_t = _node_major(ex), _node_major(ey)
         n_p, k = ex_t.shape
+        if e_cross is None:
+            e_cross = self.e_cross(ex, ey)
         block = np.empty((self._h_cat.shape[1], k))
         curl, flux = block[:2 * n_p].reshape(2, n_p, k), block[2 * n_p:].reshape(-1, 3, k)
         np.multiply(self._h_vol[:, 0], ex_t, out=curl)
         curl += self._h_vol[:, 1] * ey_t
-        np.multiply(self._h_from_e, self._tangential(ex_t, ey_t), out=flux)
-        if self._upwind:
-            flux -= self._h_from_h * self._minus_plus(_node_major(hz), self.sign_h)
+        np.multiply(self._h_from_e, e_cross, out=flux)
+        if self.penalised:
+            if hz_jump is None:
+                hz_jump = self.hz_jump(hz)
+            flux -= self._h_from_h * hz_jump
         return (self._h_cat @ block).T
-
-    def rhs(self, ex, ey, hz):
-        """Full semi-discrete right-hand side (rEx, rEy, rHz)."""
-        return (*self.rhs_e(ex, ey, hz), self.rhs_h(ex, ey, hz))

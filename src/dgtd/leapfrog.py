@@ -9,7 +9,7 @@ precomputed per-element inverses inside the spatial operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,14 @@ class FieldState:
 
     Ex and Ey are values at time level `step`; Hz sits half a step later.
     Times are derived from the step index, never accumulated.
+
+    A state made by `step` under a penalised flux (some alpha > 0) carries
+    the n x [E] it built for its H update, so that the next step's E
+    update need not gather it again. Its Ex and Ey are then read-only. The
+    next step reuses it only with the operator that built it and only
+    while Ex and Ey are the arrays it was built from. A hand-built or
+    copied state, one given new Ex or Ey arrays (also by
+    dataclasses.replace), or one stepped by another operator recomputes it.
     """
 
     Ex: np.ndarray
@@ -38,6 +46,8 @@ class FieldState:
     Hz: np.ndarray
     dt: float
     step: int = 0
+    # (operator, Ex, Ey, n x [E]) from the step that made this state
+    _e_cross: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def time_E(self) -> float:
@@ -56,17 +66,35 @@ def step(state: FieldState, op: SpatialOperator, dt: float) -> FieldState:
     """Advance one full leap-frog step.
 
     The E update consumes H at the half level and E jumps at the current
-    level; the H update then consumes the new E. Raises BlowupDetected
-    (carrying the step index) if non-finite values appear.
+    level; the H update then consumes the new E. [Hz] is gathered once for
+    both half-steps, and n x [E] at the new level once for the H update
+    and, through the returned state, the next step's E update. The input
+    arrays are left unchanged and the new fields are Fortran-order. Raises
+    BlowupDetected (carrying the step index) if non-finite values appear.
     """
-    r_ex, r_ey = op.rhs_e(state.Ex, state.Ey, state.Hz)
-    ex1 = state.Ex + dt * r_ex
-    ey1 = state.Ey + dt * r_ey
-    hz1 = state.Hz + dt * op.rhs_h(ex1, ey1, state.Hz)
+    hz_jump = op.hz_jump(state.Hz)
+    carried = state._e_cross
+    e_cross = None
+    if (carried is not None and carried[0] is op and carried[1] is state.Ex
+            and carried[2] is state.Ey):
+        e_cross = carried[3]
+    ex1, ey1 = op.rhs_e(state.Ex, state.Ey, state.Hz, hz_jump, e_cross)
+    ex1 *= dt
+    ex1 += state.Ex
+    ey1 *= dt
+    ey1 += state.Ey
+    e_cross = op.e_cross(ex1, ey1)
+    hz1 = op.rhs_h(ex1, ey1, state.Hz, e_cross, hz_jump)
+    hz1 *= dt
+    hz1 += state.Hz
     if not (np.isfinite(hz1).all() and np.isfinite(ex1).all()
             and np.isfinite(ey1).all()):
         raise BlowupDetected(state.step)
-    return FieldState(ex1, ey1, hz1, dt, state.step + 1)
+    new = FieldState(ex1, ey1, hz1, dt, state.step + 1)
+    if op.penalised:
+        ex1.flags.writeable = ey1.flags.writeable = False
+        new._e_cross = (op, ex1, ey1, e_cross)
+    return new
 
 
 def discrete_energy(state: FieldState, mesh: Mesh2D, materials: MaterialMap,

@@ -252,6 +252,12 @@ class DenseRhsOracle:
         return ex1, ey1, hz + dt * r_hz
 
 
+def full_rhs(op, ex, ey, hz):
+    """Full semi-discrete right-hand side (rEx, rEy, rHz) of a SpatialOperator
+    at one time level, from its two half-step kernels."""
+    return (*op.rhs_e(ex, ey, hz), op.rhs_h(ex, ey, hz))
+
+
 # ---------------------------------------------------------------------------
 # Pointwise face formulas (references for the folded kernel in dgtd.dg_core)
 # ---------------------------------------------------------------------------

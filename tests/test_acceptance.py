@@ -37,6 +37,7 @@ from dgtd.reference_element import vandermonde_2d
 from helpers import (
     DenseRhsOracle,
     edge_quadrature,
+    full_rhs,
     monomial_exponents,
     monomial_matrix,
     monomial_grad_matrices,
@@ -196,7 +197,7 @@ def test_criterion_5_oracle_equivalence():
         oracle = DenseRhsOracle(mesh, mats, elem, flux)
         shape = (2, elem.node_count)
         ex, ey, hz = (rng.standard_normal(shape) for _ in range(3))
-        got = op.rhs(ex, ey, hz)
+        got = full_rhs(op, ex, ey, hz)
         want = oracle.rhs(ex, ey, hz)
         for g, w in zip(got, want):
             rel = np.abs(g - w).max() / max(np.abs(w).max(), 1e-300)

@@ -24,6 +24,7 @@ from dgtd.dg_core import _node_major
 from helpers import (
     DenseRhsOracle,
     boundary_ghost,
+    full_rhs,
     node_index_jump,
     numerical_flux,
     random_spd_tensor,
@@ -230,7 +231,7 @@ def test_flux_hand_values_upwind():
 def test_rhs_zero_state():
     op = make_op(structured_square_mesh(2), order=2, alpha=0.5)
     z = np.zeros((op.mesh.n_elements, op.elem.node_count))
-    for part in op.rhs(z, z, z):
+    for part in full_rhs(op, z, z, z):
         assert np.abs(part).max() == 0.0
 
 
@@ -242,7 +243,7 @@ def test_rhs_constant_hz_interior_elements():
     shape = (mesh.n_elements, op.elem.node_count)
     hz = np.ones(shape)
     zeros = np.zeros(shape)
-    r_ex, r_ey, r_hz = op.rhs(zeros, zeros, hz)
+    r_ex, r_ey, r_hz = full_rhs(op, zeros, zeros, hz)
     interior_elems = np.flatnonzero((mesh.neighbor >= 0).all(axis=1))
     assert interior_elems.size > 0
     for k in interior_elems:
@@ -257,7 +258,7 @@ def test_rhs_polynomial_derivative_on_interior_element():
     op = make_op(mesh, order=2, alpha=0.7, bc="PEC")
     zeros = np.zeros_like(op.x)
     hz = op.x + 2.0 * op.y
-    r_ex, r_ey, r_hz = op.rhs(zeros, zeros, hz)
+    r_ex, r_ey, r_hz = full_rhs(op, zeros, zeros, hz)
     inv_eps = op.materials.inv_eps[0]
     expect = inv_eps @ np.array([2.0, -1.0])
     for k in np.flatnonzero((mesh.neighbor >= 0).all(axis=1)):
@@ -273,10 +274,10 @@ def test_rhs_linearity(bc):
     u = random_state(rng, op)
     v = random_state(rng, op)
     a, b = 1.7, -0.45
-    combo = op.rhs(a * u.Ex + b * v.Ex, a * u.Ey + b * v.Ey,
-                   a * u.Hz + b * v.Hz)
-    ru = op.rhs(u.Ex, u.Ey, u.Hz)
-    rv = op.rhs(v.Ex, v.Ey, v.Hz)
+    combo = full_rhs(op, a * u.Ex + b * v.Ex, a * u.Ey + b * v.Ey,
+                     a * u.Hz + b * v.Hz)
+    ru = full_rhs(op, u.Ex, u.Ey, u.Hz)
+    rv = full_rhs(op, v.Ex, v.Ey, v.Hz)
     for c, x, y in zip(combo, ru, rv):
         scale = max(np.abs(c).max(), 1.0)
         assert np.abs(c - (a * x + b * y)).max() <= 1e-12 * scale
@@ -291,9 +292,9 @@ def test_rhs_affine_in_alpha(bc, alpha):
     op1 = make_op(mesh, order=2, alpha=1.0, bc=bc)
     opa = make_op(mesh, order=2, alpha=alpha, bc=bc)
     state = random_state(rng, op0)
-    r0 = op0.rhs(state.Ex, state.Ey, state.Hz)
-    r1 = op1.rhs(state.Ex, state.Ey, state.Hz)
-    ra = opa.rhs(state.Ex, state.Ey, state.Hz)
+    r0 = full_rhs(op0, state.Ex, state.Ey, state.Hz)
+    r1 = full_rhs(op1, state.Ex, state.Ey, state.Hz)
+    ra = full_rhs(opa, state.Ex, state.Ey, state.Hz)
     for a_part, p0, p1 in zip(ra, r0, r1):
         blend = (1.0 - alpha) * p0 + alpha * p1
         scale = max(np.abs(a_part).max(), 1.0)
@@ -330,8 +331,8 @@ def test_rhs_commutes_with_half_turn_rotation():
     rng = np.random.default_rng(2)
     shape = op.x.shape
     ex, ey, hz = (rng.standard_normal(shape) for _ in range(3))
-    r = op.rhs(ex, ey, hz)
-    rt = op.rhs(-transform(ex), -transform(ey), transform(hz))
+    r = full_rhs(op, ex, ey, hz)
+    rt = full_rhs(op, -transform(ex), -transform(ey), transform(hz))
     np.testing.assert_allclose(rt[0], -transform(r[0]), atol=1e-12)
     np.testing.assert_allclose(rt[1], -transform(r[1]), atol=1e-12)
     np.testing.assert_allclose(rt[2], transform(r[2]), atol=1e-12)
@@ -352,8 +353,8 @@ def test_semidiscrete_energy_identities():
         for j in range(n_dof):
             v = np.zeros(n_dof)
             v[j] = 1.0
-            parts = op.rhs(v[:size].reshape(shape), v[size:2 * size].reshape(shape),
-                           v[2 * size:].reshape(shape))
+            parts = full_rhs(op, v[:size].reshape(shape), v[size:2 * size].reshape(shape),
+                             v[2 * size:].reshape(shape))
             a[:, j] = np.concatenate([p.ravel() for p in parts])
         return a
 
@@ -410,7 +411,7 @@ def test_rhs_matches_dense_quadrature_oracle(order, bc):
             oracle = DenseRhsOracle(mesh, mats, elem, flux)
             shape = (2, elem.node_count)
             ex, ey, hz = (rng.standard_normal(shape) for _ in range(3))
-            got = op.rhs(ex, ey, hz)
+            got = full_rhs(op, ex, ey, hz)
             want = oracle.rhs(ex, ey, hz)
             for g, w in zip(got, want):
                 scale = max(np.abs(w).max(), 1e-12)
@@ -421,12 +422,27 @@ def test_rhs_is_the_two_half_step_kernels():
     op = make_op(structured_square_mesh(2), order=1, alpha=0.5, bc="SM")
     rng = np.random.default_rng(9)
     state = random_state(rng, op)
-    full = op.rhs(state.Ex, state.Ey, state.Hz)
+    full = full_rhs(op, state.Ex, state.Ey, state.Hz)
     halves = (*op.rhs_e(state.Ex, state.Ey, state.Hz),
               op.rhs_h(state.Ex, state.Ey, state.Hz))
     for a, b in zip(full, halves):
         np.testing.assert_array_equal(a, b)
 
+
+
+@pytest.mark.parametrize("bc,alpha", [("PEC", 0.0), ("PMC", 0.5), ("SM", 0.0), ("SM", 1.0)])
+def test_half_steps_only_read_the_jumps_passed_in(bc, alpha):
+    op = make_op(structured_square_mesh(2), order=2, alpha=alpha, bc=bc)
+    state = random_state(np.random.default_rng(12), op)
+    fields = (state.Ex, state.Ey, state.Hz)
+    hz_jump, e_cross = op.hz_jump(state.Hz), op.e_cross(state.Ex, state.Ey)
+    np.testing.assert_array_equal(hz_jump.transpose(2, 1, 0), op.jump(state.Hz, op.sign_h))
+    kept = hz_jump.copy(), e_cross.copy()
+    for a, b in zip(op.rhs_e(*fields, hz_jump, e_cross), op.rhs_e(*fields)):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(op.rhs_h(*fields, e_cross, hz_jump), op.rhs_h(*fields))
+    np.testing.assert_array_equal(hz_jump, kept[0])
+    np.testing.assert_array_equal(e_cross, kept[1])
 
 # --- storage layout ----------------------------------------------------------
 # Fields are (K, Np) arrays stored node-major (Fortran order). These tests keep

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +19,10 @@ from dgtd import (
     run,
     step,
     structured_square_mesh,
+    theoretical_bound,
     write_energy_csv,
 )
+import dgtd.leapfrog
 from dgtd.leapfrog import standing_mode_frequency
 from helpers import DenseRhsOracle
 
@@ -260,3 +263,117 @@ def test_silver_muller_absorbs_outgoing_pulse():
         ratios[bc] = result.final_energy / result.energy[0, 2]
     assert ratios["SM"] < 0.01, f"absorbing boundary kept {ratios['SM']:.2%}"
     assert ratios["PEC"] > 0.5, f"closed cavity lost {1 - ratios['PEC']:.2%}"
+
+
+# --- jumps carried from one step to the next ----------------------------------
+
+def random_setup(bc, alpha, order, layout="F"):
+    """Operator on 2x2 cells, a random state in the given memory layout and
+    a dt below the theoretical bound."""
+    mesh, elem, mats, op = build_setup(order=order, alpha=alpha, bc=bc)
+    rng = np.random.default_rng(3)
+    shape = (mesh.n_elements, elem.node_count)
+    dt = 0.9 * theoretical_bound(mesh, mats, order, alpha, bc).dt_bound
+    fields = (np.asarray(rng.standard_normal(shape), order=layout) for _ in range(3))
+    return op, FieldState(*fields, dt=dt)
+
+
+def assert_same_fields(a, b):
+    for u, v in ((a.Ex, b.Ex), (a.Ey, b.Ey), (a.Hz, b.Hz)):
+        np.testing.assert_array_equal(u, v)
+
+
+@pytest.mark.parametrize("bc", ["PEC", "PMC", "SM"])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_run_equals_steps_on_fresh_states(bc, alpha, order):
+    op, state = random_setup(bc, alpha, order)
+    result = run(state, op, RunConfig(dt=state.dt, final_time=30 * state.dt))
+    assert result.completed and result.state.step == 30
+    fresh = state
+    for _ in range(30):
+        # a hand-built state carries no jump, so each step gathers its own
+        fresh = step(FieldState(fresh.Ex, fresh.Ey, fresh.Hz, state.dt, fresh.step),
+                     op, state.dt)
+    assert_same_fields(result.state, fresh)
+
+
+@pytest.mark.parametrize("first,second", [
+    (("PEC", 1.0), ("SM", 1.0)),
+    (("SM", 0.0), ("PMC", 1.0)),
+    (("PMC", 0.5), ("PEC", 1.0)),
+    (("PEC", 1.0), ("PEC", 0.5)),
+    (("SM", 1.0), ("PEC", 0.0)),
+])
+def test_state_stepped_by_another_operator_recomputes_the_jump(first, second):
+    op_a, state = random_setup(*first, order=2)
+    op_b, _ = random_setup(*second, order=2)
+    made_by_a = step(state, op_a, state.dt)
+    assert_same_fields(step(made_by_a, op_b, state.dt),
+                       step(made_by_a.copy(), op_b, state.dt))
+
+
+def test_state_given_new_e_arrays_recomputes_the_jump():
+    op, state = random_setup("SM", 1.0, order=2)
+    stepped = step(state, op, state.dt)
+    with pytest.raises(ValueError):
+        stepped.Ey[0, 0] = 1.0  # the arrays a carried jump was built from
+    stepped.Ex = 2.0 * stepped.Ex
+    assert_same_fields(step(stepped, op, state.dt), step(stepped.copy(), op, state.dt))
+    replaced = dataclasses.replace(step(state, op, state.dt), Ey=-stepped.Ey)
+    assert_same_fields(step(replaced, op, state.dt), step(replaced.copy(), op, state.dt))
+
+
+@pytest.mark.parametrize("bc,alpha", [("PEC", 0.0), ("SM", 1.0)])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_step_leaves_inputs_unchanged(bc, alpha, layout):
+    op, state = random_setup(bc, alpha, order=2, layout=layout)
+    before = state.copy()
+    nxt = step(state, op, state.dt)
+    assert_same_fields(state, before)
+    for u in (state.Ex, state.Ey, state.Hz):
+        assert u.flags[f"{layout}_CONTIGUOUS"] and u.flags.writeable
+    after = nxt.copy()
+    step(nxt, op, state.dt)
+    assert_same_fields(nxt, after)
+    for u in (nxt.Ex, nxt.Ey, nxt.Hz):
+        assert u.flags.f_contiguous
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("bc,alpha,gathers", [
+    ("PEC", 0.0, 20), ("PMC", 0.0, 20),
+    ("PEC", 1.0, 21), ("PMC", 0.5, 21), ("SM", 0.0, 21), ("SM", 1.0, 21),
+])
+def test_exterior_gathers_per_run(monkeypatch, bc, alpha, gathers):
+    # two per step ([Hz] and n x [E]), plus n x [E] at the initial level
+    # on the first step when some face penalises the jumps
+    op, state = random_setup(bc, alpha, order=2)
+    calls = counting(monkeypatch, SpatialOperator, "_exterior")
+    result = run(state, op, RunConfig(dt=state.dt, final_time=10 * state.dt))
+    assert len(calls) == gathers
+    # a central flux never reads n x [E] in its E update, so nothing is carried
+    assert (result.state._e_cross is None) == (not op.penalised)
+
+
+@pytest.mark.parametrize("bc,alpha", [("PEC", 0.0), ("SM", 1.0)])
+def test_run_reaches_the_benchmark_span_sites(monkeypatch, bc, alpha):
+    # the benchmark's per-layer spans wrap these three attributes
+    op, state = random_setup(bc, alpha, order=1)
+    steps = counting(monkeypatch, dgtd.leapfrog, "step")
+    rhs_e = counting(monkeypatch, SpatialOperator, "rhs_e")
+    rhs_h = counting(monkeypatch, SpatialOperator, "rhs_h")
+    run(state, op, RunConfig(dt=state.dt, final_time=10 * state.dt))
+    assert (len(steps), len(rhs_e), len(rhs_h)) == (10, 10, 10)
