@@ -88,7 +88,7 @@ def _cmd_simulate(args) -> int:
     mesh, materials, elem, flux = _prepare(cfg)
     op = SpatialOperator(mesh, materials, elem, flux)
 
-    if cfg.auto_dt:
+    if cfg.dt is None:
         bound = theoretical_bound(mesh, materials, cfg.order, cfg.alpha, cfg.bc)
         dt = cfg.safety * bound.dt_bound
         print(f"auto dt: {dt!r} (bound {bound.dt_bound!r}, safety {cfg.safety})")

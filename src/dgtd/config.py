@@ -78,8 +78,7 @@ class SimulationConfig:
     alpha: float = 0.0
     bc: str = "PEC"
 
-    dt: float | None = None
-    auto_dt: bool = True
+    dt: float | None = None  # None: safety times the theoretical bound
     safety: float = 0.5
     final_time: float = 1.0
 
@@ -140,7 +139,7 @@ class SimulationConfig:
             "", "[discretization]",
             f"order = {self.order}", f"alpha = {self.alpha!r}", f"bc = {self.bc}",
             "", "[time]",
-            "dt = auto" if self.auto_dt else f"dt = {self.dt!r}",
+            "dt = auto" if self.dt is None else f"dt = {self.dt!r}",
             f"safety = {self.safety!r}",
             f"final_time = {self.final_time!r}",
             "", "[initial]",
@@ -285,11 +284,7 @@ def parse_config(path) -> SimulationConfig:
     cfg.bc = normalize_bc(reader.get("discretization", "bc", "PEC"))
 
     dt_raw = reader.get("time", "dt", "auto")
-    if dt_raw == "auto":
-        cfg.auto_dt = True
-        cfg.dt = None
-    else:
-        cfg.auto_dt = False
+    if dt_raw != "auto":
         try:
             cfg.dt = float(dt_raw)
         except ValueError as exc:

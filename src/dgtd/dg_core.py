@@ -25,7 +25,7 @@ from the same two vertices, so n+ = -n- exactly (checked at set-up) and
 n- x [E] = t- + t+ with t = nx Ey - ny Ex on each own trace: one gather,
 like [Hz]. A boundary's t+ = -s_E t- gives the ghost rule's (1 - s_E) t-.
 rhs_e reads [Hz] and rhs_h reads n x [E], each the other only if some
-alpha > 0; either takes a jump passed in instead of gathering it, so a
+alpha > 0. Neither gathers: both take the jumps they read, so a
 leap-frog step gathers each of [Hz] and n x [E] once.
 The flux coefficients fold in the face scaling, the impedance weights,
 alpha and the material inverse (Hesthaven & Warburton, Nodal
@@ -252,44 +252,39 @@ class SpatialOperator:
 
     # -- right-hand sides --------------------------------------------------
 
-    def rhs_e(self, ex, ey, hz, hz_jump=None, e_cross=None) -> tuple[np.ndarray, np.ndarray]:
-        """Time derivative of (Ex, Ey); E jumps feed only the alpha penalty.
+    def rhs_e(self, hz, hz_jump, e_cross) -> tuple[np.ndarray, np.ndarray]:
+        """Time derivative of (Ex, Ey) from Hz and the jumps hz_jump(hz) and
+        e_cross(ex, ey); E enters only through the alpha penalty.
 
-        hz_jump and e_cross, if given, are hz_jump(hz) and e_cross(ex, ey)
-        and are only read. The two returned Fortran-order fields are new
-        arrays (halves of one block) that the caller owns.
+        e_cross is read only if the operator is penalised, and may
+        otherwise be None. The jumps are only read. The two returned
+        Fortran-order fields are new arrays (halves of one block) that
+        the caller owns.
         """
         hz_t = _node_major(hz)
-        if hz_jump is None:
-            hz_jump = self.hz_jump(hz)
         flux = self._e_from_h * hz_jump
         if self.penalised:
-            if e_cross is None:
-                e_cross = self.e_cross(ex, ey)
             flux -= self._e_dir * (self._e_from_e * e_cross)
         grad = (self._d_stack @ hz_t).reshape(2, -1, hz_t.shape[1])  # (d/dr, d/ds)
         r_e = self._e_vol[0] * grad[0] + self._e_vol[1] * grad[1]
         r_e += self._lift @ flux.reshape(2, -1, hz_t.shape[1])
         return r_e[0].T, r_e[1].T
 
-    def rhs_h(self, ex, ey, hz, e_cross=None, hz_jump=None) -> np.ndarray:
-        """Time derivative of Hz, one product [Dr | Ds | LIFT] @ [h_vol . E; flux].
+    def rhs_h(self, ex, ey, e_cross, hz_jump) -> np.ndarray:
+        """Time derivative of Hz, one product [Dr | Ds | LIFT] @ [h_vol . E; flux],
+        from (Ex, Ey) and the jumps e_cross(ex, ey) and hz_jump(hz).
 
-        e_cross and hz_jump, if given, are e_cross(ex, ey) and hz_jump(hz)
-        and are only read. The returned Fortran-order field is a new
-        array that the caller owns.
+        hz_jump is read only if the operator is penalised, and may
+        otherwise be None. The jumps are only read. The returned
+        Fortran-order field is a new array that the caller owns.
         """
         ex_t, ey_t = _node_major(ex), _node_major(ey)
         n_p, k = ex_t.shape
-        if e_cross is None:
-            e_cross = self.e_cross(ex, ey)
         block = np.empty((self._h_cat.shape[1], k))
         curl, flux = block[:2 * n_p].reshape(2, n_p, k), block[2 * n_p:].reshape(-1, 3, k)
         np.multiply(self._h_vol[:, 0], ex_t, out=curl)
         curl += self._h_vol[:, 1] * ey_t
         np.multiply(self._h_from_e, e_cross, out=flux)
         if self.penalised:
-            if hz_jump is None:
-                hz_jump = self.hz_jump(hz)
             flux -= self._h_from_h * hz_jump
         return (self._h_cat @ block).T

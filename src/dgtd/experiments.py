@@ -122,12 +122,11 @@ class DtMaxSearch:
     theory_bound: float
 
 
-def find_dtmax(case: StabilityCase, tol: float = 1e-2,
-               start: float | None = None) -> DtMaxSearch:
+def find_dtmax(case: StabilityCase, tol: float = 1e-2) -> DtMaxSearch:
     """Largest stable time step, located by bracketing plus bisection.
 
-    Bracketing starts from `start` or, by default, from the largest
-    doubling theory * 2^k of the theoretical bound that does not exceed
+    Bracketing starts from the largest doubling theory * 2^k of the
+    theoretical bound that does not exceed
     `spectral_dt(case.op, tol=START_TOL)` (the bound itself if ARPACK
     does not converge). On that lattice the search meets the same
     bracket and midpoints as doubling up from the bound would, without
@@ -145,13 +144,11 @@ def find_dtmax(case: StabilityCase, tol: float = 1e-2,
         estimate = spectral_dt(case.op, tol=START_TOL)
     except ArpackNoConvergence:
         estimate = math.nan
-    if start is None:
-        start = theory
-        if not math.isnan(estimate):
-            start *= 2.0 ** math.floor(math.log2(estimate / theory))
+    dt = theory
+    if not math.isnan(estimate):
+        dt *= 2.0 ** math.floor(math.log2(estimate / theory))
     # every dt the search classifies is new: bracketing moves one way
     # along the lattice and each midpoint lies strictly inside the bracket
-    dt = start
     stable = classify_stability(dt, case)
     bracketing_runs = 1
     lo, hi = (dt, None) if stable else (None, dt)

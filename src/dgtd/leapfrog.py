@@ -70,7 +70,8 @@ def step(state: FieldState, op: SpatialOperator, dt: float) -> FieldState:
     both half-steps, and n x [E] at the new level once for the H update
     and, through the returned state, the next step's E update. The input
     arrays are left unchanged and the new fields are Fortran-order. Raises
-    BlowupDetected (carrying the step index) if non-finite values appear.
+    BlowupDetected, carrying the index of the step it would have made, if
+    non-finite values appear.
     """
     hz_jump = op.hz_jump(state.Hz)
     carried = state._e_cross
@@ -78,18 +79,20 @@ def step(state: FieldState, op: SpatialOperator, dt: float) -> FieldState:
     if (carried is not None and carried[0] is op and carried[1] is state.Ex
             and carried[2] is state.Ey):
         e_cross = carried[3]
-    ex1, ey1 = op.rhs_e(state.Ex, state.Ey, state.Hz, hz_jump, e_cross)
+    elif op.penalised:
+        e_cross = op.e_cross(state.Ex, state.Ey)
+    ex1, ey1 = op.rhs_e(state.Hz, hz_jump, e_cross)
     ex1 *= dt
     ex1 += state.Ex
     ey1 *= dt
     ey1 += state.Ey
     e_cross = op.e_cross(ex1, ey1)
-    hz1 = op.rhs_h(ex1, ey1, state.Hz, e_cross, hz_jump)
+    hz1 = op.rhs_h(ex1, ey1, e_cross, hz_jump)
     hz1 *= dt
     hz1 += state.Hz
     if not (np.isfinite(hz1).all() and np.isfinite(ex1).all()
             and np.isfinite(ey1).all()):
-        raise BlowupDetected(state.step)
+        raise BlowupDetected(state.step + 1)
     new = FieldState(ex1, ey1, hz1, dt, state.step + 1)
     if op.penalised:
         ex1.flags.writeable = ey1.flags.writeable = False
@@ -174,7 +177,7 @@ def run(state0: FieldState, op: SpatialOperator, config: RunConfig) -> RunResult
         try:
             state = step(state, op, config.dt)
         except BlowupDetected as blow:
-            trace.append((state.step + 1, (state.step + 1) * config.dt, math.inf))
+            trace.append((blow.step, blow.step * config.dt, math.inf))
             return RunResult(state, np.array(trace), STATUS_BLEWUP, blow.step)
         if (m + 1) % every == 0 or m + 1 == n_steps:
             energy = discrete_energy(state, mesh, materials, elem)

@@ -169,19 +169,14 @@ def stability_bound_3d(order: int, h_min: float, eps_lower: float,
 
 
 def theoretical_bound(mesh: Mesh2D, materials: MaterialMap, order: int,
-                      alpha: float, bc: str,
-                      c_inv: float | None = None,
-                      c_tau: float | None = None) -> StabilityConstants:
+                      alpha: float, bc: str) -> StabilityConstants:
     """Calibrate the constants for a concrete mesh/material pair and
     evaluate the 2D bound."""
-    if c_tau is None:
-        c_tau = calibrate_c_tau(mesh)
-    if c_inv is None:
-        c_inv = calibrate_c_inv(order)
     imp = face_impedances(materials, mesh)
     return stability_bound_2d(
         order, mesh.h_min, materials.eps_lower, materials.mu_lower,
-        imp.z_min, imp.y_min, alpha, bc, c_inv, c_tau,
+        imp.z_min, imp.y_min, alpha, bc, calibrate_c_inv(order),
+        calibrate_c_tau(mesh),
     )
 
 
@@ -189,22 +184,26 @@ def symmetric_hh_operator(op: SpatialOperator) -> LinearOperator:
     """-A_HE A_EH in the variables y = sqrt(mu J) h L, where M = L L^T is
     the reference mass matrix.
 
-    A_EH and A_HE are the E<-H and H<-E blocks of the operator. With the
-    other field zero the alpha penalty terms vanish, so `op` is used as
-    is and the product is that of its central part. It is self-adjoint in
-    the mu J M inner product of Hz, so in y it is symmetric.
+    A_EH and A_HE are the E<-H and H<-E blocks of the operator: each
+    half-step kernel is given its own field's jump and a zero jump of the
+    other field, so the alpha penalty terms vanish and the product is that
+    of the operator's central part. One matvec gathers [Hz] and n x [E]
+    once each. The product is self-adjoint in the mu J M inner product of
+    Hz, so in y it is symmetric.
     """
     shape = op.x.shape
-    zero = np.zeros_like(op.x)
+    no_jump = np.zeros((op.elem.face_node_count, 3, op.mesh.n_elements))
     chol = np.linalg.cholesky(op.elem.mass)
     chol_inv = scipy.linalg.solve_triangular(chol, np.eye(len(chol)), lower=True)
     weight = np.sqrt(op.materials.mu * op.mesh.jac)[:, None]
 
     def matvec(y):
-        ex, ey = op.rhs_e(zero, zero, (y.reshape(shape) / weight) @ chol_inv)
-        return -(weight * (op.rhs_h(ex, ey, zero) @ chol)).ravel()
+        hz = (y.reshape(shape) / weight) @ chol_inv
+        ex, ey = op.rhs_e(hz, op.hz_jump(hz), no_jump)
+        return -(weight * (op.rhs_h(ex, ey, op.e_cross(ex, ey), no_jump) @ chol)).ravel()
 
-    return LinearOperator((zero.size, zero.size), matvec=matvec, dtype=float)
+    n = op.x.size
+    return LinearOperator((n, n), matvec=matvec, dtype=float)
 
 
 def spectral_dt(op: SpatialOperator, tol: float = _SPECTRAL_TOL) -> float:

@@ -254,8 +254,23 @@ class DenseRhsOracle:
 
 def full_rhs(op, ex, ey, hz):
     """Full semi-discrete right-hand side (rEx, rEy, rHz) of a SpatialOperator
-    at one time level, from its two half-step kernels."""
-    return (*op.rhs_e(ex, ey, hz), op.rhs_h(ex, ey, hz))
+    at one time level, from its two half-step kernels and the two jumps."""
+    hz_jump, e_cross = op.hz_jump(hz), op.e_cross(ex, ey)
+    return (*op.rhs_e(hz, hz_jump, e_cross), op.rhs_h(ex, ey, e_cross, hz_jump))
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that logs the (args, kwargs) of each
+    call; returns the log."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ tol = 0.05
 
 def test_parse_config_defaults_and_errors(tmp_path):
     cfg = parse_config(write(tmp_path, "ok.cfg", PEC_CONFIG))
-    assert cfg.order == 1 and cfg.auto_dt
+    assert cfg.order == 1 and cfg.dt is None
     with pytest.raises(ConfigError):
         parse_config(write(tmp_path, "bad1.cfg",
                            PEC_CONFIG.replace("dt = auto", "dt = nonsense")))

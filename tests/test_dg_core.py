@@ -423,8 +423,11 @@ def test_rhs_is_the_two_half_step_kernels():
     rng = np.random.default_rng(9)
     state = random_state(rng, op)
     full = full_rhs(op, state.Ex, state.Ey, state.Hz)
-    halves = (*op.rhs_e(state.Ex, state.Ey, state.Hz),
-              op.rhs_h(state.Ex, state.Ey, state.Hz))
+    # [Hz] through the public (K, 3, Nfp) jump view
+    hz_jump = op.jump(state.Hz, op.sign_h).transpose(2, 1, 0)
+    e_cross = op.e_cross(state.Ex, state.Ey)
+    halves = (*op.rhs_e(state.Hz, hz_jump, e_cross),
+              op.rhs_h(state.Ex, state.Ey, e_cross, hz_jump))
     for a, b in zip(full, halves):
         np.testing.assert_array_equal(a, b)
 
@@ -438,9 +441,12 @@ def test_half_steps_only_read_the_jumps_passed_in(bc, alpha):
     hz_jump, e_cross = op.hz_jump(state.Hz), op.e_cross(state.Ex, state.Ey)
     np.testing.assert_array_equal(hz_jump.transpose(2, 1, 0), op.jump(state.Hz, op.sign_h))
     kept = hz_jump.copy(), e_cross.copy()
-    for a, b in zip(op.rhs_e(*fields, hz_jump, e_cross), op.rhs_e(*fields)):
+    full = full_rhs(op, *fields)
+    # the other field's jump is read only under a penalty, and may be None
+    other_e, other_h = (e_cross, hz_jump) if op.penalised else (None, None)
+    for a, b in zip(op.rhs_e(state.Hz, hz_jump, other_e), full):
         np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(op.rhs_h(*fields, e_cross, hz_jump), op.rhs_h(*fields))
+    np.testing.assert_array_equal(op.rhs_h(state.Ex, state.Ey, e_cross, other_h), full[2])
     np.testing.assert_array_equal(hz_jump, kept[0])
     np.testing.assert_array_equal(e_cross, kept[1])
 
@@ -469,8 +475,7 @@ def test_kernels_agree_on_c_and_fortran_order(order, alpha, bc):
         scale = max(np.abs(got_c).max(), 1e-300)
         assert np.abs(got_c - got_f).max() <= 1e-14 * scale
 
-    for got_c, got_f in zip((*op.rhs_e(*fields_c), op.rhs_h(*fields_c)),
-                            (*op.rhs_e(*fields_f), op.rhs_h(*fields_f))):
+    for got_c, got_f in zip(full_rhs(op, *fields_c), full_rhs(op, *fields_f)):
         assert got_f.shape == shape and got_f.flags.f_contiguous
         check(got_c, got_f)
     for u_c, u_f in zip(fields_c, fields_f):

@@ -74,13 +74,19 @@ def test_find_dtmax_deterministic(coarse_case):
             == spectral_dt(coarse_case.op, tol=START_TOL))
 
 
-def test_find_dtmax_custom_start_converges(coarse_case):
-    # a deliberately unstable starting guess must shrink and still bracket;
-    # the bound itself stays stable
-    search = find_dtmax(coarse_case, tol=1e-2, start=1.0)
-    assert classify_stability(search.theory_bound, coarse_case)
-    assert not classify_stability(1.0, coarse_case)
+def test_find_dtmax_custom_start_converges(coarse_case, monkeypatch):
+    # a spectral estimate far above the limit gives an unstable start, from
+    # which the search must shrink and still bracket; the bound itself
+    # stays stable
+    import dgtd.experiments as experiments
+
     reference = find_dtmax(coarse_case, tol=1e-2)
+    monkeypatch.setattr(experiments, "spectral_dt", lambda op, tol: 1.0)
+    calls = _record_classified(monkeypatch)
+    search = find_dtmax(coarse_case, tol=1e-2)
+    assert classify_stability(search.theory_bound, coarse_case)
+    assert 0.5 < calls[0][0] <= 1.0
+    assert not classify_stability(calls[0][0], coarse_case)
     assert search.dt_max == pytest.approx(reference.dt_max, rel=0.05)
 
 
@@ -99,22 +105,25 @@ def _record_classified(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("start, runs", [(None, 9), (1.0, 11)])
-def test_find_dtmax_classified_sequence(coarse_case, monkeypatch, start, runs):
-    calls = _record_classified(monkeypatch)
-    search = find_dtmax(coarse_case, tol=1e-2, start=start)
-    assert search.runs == len(calls) == runs
-    # the start, by default the largest doubling of the theoretical bound
-    # not above the loose spectral estimate ...
-    dt0, first = calls[0]
-    if start is None:
-        k = round(math.log2(dt0 / search.theory_bound))
-        assert k >= 1
-        assert dt0 == search.theory_bound * 2.0 ** k
+@pytest.mark.parametrize("estimate, runs", [(None, 9), (1.0, 10)])
+def test_find_dtmax_classified_sequence(coarse_case, monkeypatch, estimate, runs):
+    import dgtd.experiments as experiments
+
+    if estimate is None:
         estimate = spectral_dt(coarse_case.op, tol=START_TOL)
-        assert dt0 <= estimate < 2.0 * dt0
     else:
-        assert dt0 == start
+        # far above the limit: the search starts unstable and halves
+        monkeypatch.setattr(experiments, "spectral_dt", lambda op, tol: 1.0)
+    calls = _record_classified(monkeypatch)
+    search = find_dtmax(coarse_case, tol=1e-2)
+    assert search.runs == len(calls) == runs
+    # the start, the largest doubling of the theoretical bound not above
+    # the loose spectral estimate ...
+    dt0, first = calls[0]
+    k = round(math.log2(dt0 / search.theory_bound))
+    assert k >= 1
+    assert dt0 == search.theory_bound * 2.0 ** k
+    assert dt0 <= estimate < 2.0 * dt0
     # ... start * 2^+-k until the first flip ...
     k = 1
     while calls[k][1] == first:
@@ -161,13 +170,15 @@ def test_find_dtmax_bracketing_limits(coarse_case, monkeypatch, verdict, message
     dts = []
     monkeypatch.setattr(experiments, "classify_stability",
                         lambda dt, case: dts.append(dt) or verdict)
+    monkeypatch.setattr(experiments, "spectral_dt", lambda op, tol: 1.0)
     with pytest.raises(SweepError, match=message):
-        find_dtmax(coarse_case, tol=1e-2, start=1.0)
+        find_dtmax(coarse_case, tol=1e-2)
     # doubling stops once dt reaches DT_CAP; halving after MAX_HALVINGS steps
     if verdict:
-        assert dts == [2.0 ** k for k in range(5)]
+        assert dts == [dts[0] * 2.0 ** k for k in range(len(dts))]
+        assert dts[-2] < experiments.DT_CAP <= dts[-1]
     else:
-        assert dts == [0.5 ** k for k in range(experiments.MAX_HALVINGS + 1)]
+        assert dts == [dts[0] * 0.5 ** k for k in range(experiments.MAX_HALVINGS + 1)]
 
 
 def test_cfl_constant_definition():

@@ -24,7 +24,7 @@ from dgtd import (
 )
 import dgtd.leapfrog
 from dgtd.leapfrog import standing_mode_frequency
-from helpers import DenseRhsOracle
+from helpers import DenseRhsOracle, counting
 
 EPS_ANISO = PermittivityTensor(5.0, 1.0, 1.0, 3.0)
 
@@ -170,6 +170,25 @@ def test_run_blows_up_above_threshold():
     assert result.status == "blewup"
     assert result.blowup_step is not None
     assert result.blowup_step <= result.state.step + 1
+
+
+@pytest.mark.parametrize("every, nonfinite", [(10000, True), (1, False)])
+def test_blowup_step_is_the_last_trace_row(every, nonfinite):
+    # dt 0.3 is far above the limit: with a sparse energy cadence the fields
+    # overflow first (step 231), with cadence 1 the energy threshold stops
+    # the run first
+    mesh, elem, mats, op = build_setup(cells=4, order=2, alpha=0.0, bc="PEC")
+    dt = 0.3
+    state = initial_conditions("pec_cosine", mesh, elem, mats, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run(state, op, RunConfig(dt=dt, final_time=100.0,
+                                          record_energy_every=every))
+    assert result.status == "blewup"
+    assert result.blowup_step == result.energy[-1, 0]
+    assert result.energy[-1, 1] == result.blowup_step * dt
+    assert math.isinf(result.energy[-1, 2]) == nonfinite
+    # the state is the last finite one; a threshold stop returns its own step
+    assert result.blowup_step == result.state.step + (1 if nonfinite else 0)
 
 
 def test_run_final_time_smaller_than_dt():
@@ -340,19 +359,6 @@ def test_step_leaves_inputs_unchanged(bc, alpha, layout):
         assert u.flags.f_contiguous
 
 
-def counting(monkeypatch, owner, name):
-    """Replace owner.name by a wrapper that counts its calls."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("bc,alpha,gathers", [
     ("PEC", 0.0, 20), ("PMC", 0.0, 20),
     ("PEC", 1.0, 21), ("PMC", 0.5, 21), ("SM", 0.0, 21), ("SM", 1.0, 21),
@@ -377,3 +383,9 @@ def test_run_reaches_the_benchmark_span_sites(monkeypatch, bc, alpha):
     rhs_h = counting(monkeypatch, SpatialOperator, "rhs_h")
     run(state, op, RunConfig(dt=state.dt, final_time=10 * state.dt))
     assert (len(steps), len(rhs_e), len(rhs_h)) == (10, 10, 10)
+    # perfbench/freeze_reference.py wraps step as counted_step(state, op, dt):
+    # every call passes exactly those three, positionally
+    for args, kwargs in steps:
+        assert len(args) == 3 and not kwargs
+        assert isinstance(args[0], FieldState)
+        assert args[1] is op and args[2] == state.dt

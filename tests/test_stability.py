@@ -25,9 +25,11 @@ from dgtd.dg_core import SpatialOperator
 from dgtd.stability import calibrate_c_inv_per_order, symmetric_hh_operator
 from helpers import (
     DenseRhsOracle,
+    counting,
     edge_quadrature,
     eval_polynomial,
     eval_polynomial_grad,
+    full_rhs,
     monomial_matrix,
     random_polynomial,
     random_spd_tensor,
@@ -318,8 +320,33 @@ def test_symmetric_hh_operator_is_symmetric(order, bc, alpha):
     # spectrum (the operator itself is checked against the dense oracle in
     # test_dg_core and acceptance criterion 5)
     zero = np.zeros(op.x.shape)
-    product = np.stack([-op.rhs_h(*op.rhs_e(zero, zero, unit), zero).ravel()
+
+    def minus_a_he_a_eh(hz):
+        ex, ey, _ = full_rhs(op, zero, zero, hz)
+        return -full_rhs(op, ex, ey, zero)[2]
+
+    product = np.stack([minus_a_he_a_eh(unit).ravel()
                         for unit in np.eye(n).reshape(n, *op.x.shape)], axis=1)
     want = np.sort(np.linalg.eigvals(product).real)
     got = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     assert np.abs(got - want).max() <= 1e-10 * want.max()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("bc", ["PEC", "PMC", "SM"])
+def test_exterior_gathers_per_matvec(monkeypatch, bc, alpha):
+    # one matvec gathers [Hz] and n x [E] once each under every flux; the
+    # half-step kernels gather nothing themselves
+    mesh = structured_square_mesh(2)
+    op = SpatialOperator(mesh, MaterialMap.uniform(mesh.n_elements, EPS_ANISO, 1.0),
+                         build_reference_element(2), FluxParams(alpha=alpha, bc=bc))
+    a_hh = symmetric_hh_operator(op)
+    rng = np.random.default_rng(5)
+    ex, ey, hz = (np.asfortranarray(rng.standard_normal(op.x.shape)) for _ in range(3))
+    hz_jump, e_cross = op.hz_jump(hz), op.e_cross(ex, ey)
+    calls = counting(monkeypatch, SpatialOperator, "_exterior")
+    a_hh.matvec(rng.standard_normal(a_hh.shape[0]))
+    assert len(calls) == 2
+    op.rhs_e(hz, hz_jump, e_cross)
+    op.rhs_h(ex, ey, e_cross, hz_jump)
+    assert len(calls) == 2
