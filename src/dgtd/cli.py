@@ -7,19 +7,21 @@ Subcommands: simulate, bound, dtmax-sweep, table. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import traceback
 
 from .config import parse_config, parse_table_spec
-from .dg_core import FluxParams, SpatialOperator
-from .errors import ConfigError, DgtdError, MaterialError, MeshError
+from .errors import (ConfigError, DgtdError, DomainError, InvalidOrderError,
+                     MaterialError, MeshError)
 from .experiments import (
     StabilityCase,
     cfl_constant,
     find_dtmax,
     run_table,
     table_filename,
+    write_table_csv,
 )
 from .leapfrog import (
     RunConfig,
@@ -29,7 +31,6 @@ from .leapfrog import (
     write_energy_csv,
 )
 from .materials import face_impedances
-from .reference_element import build_reference_element
 from .stability import spectral_dt, stability_bound_3d, theoretical_bound
 
 EXIT_OK = 0
@@ -75,32 +76,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare(cfg):
+def _build_case(cfg) -> StabilityCase:
     mesh = cfg.build_mesh()
-    materials = cfg.build_materials(mesh)
-    elem = build_reference_element(cfg.order)
-    flux = FluxParams(alpha=cfg.alpha, bc=cfg.bc)
-    return mesh, materials, elem, flux
+    return StabilityCase(mesh, cfg.build_materials(mesh), cfg.order,
+                         cfg.alpha, cfg.bc, initial=cfg.initial_condition(),
+                         final_time=cfg.final_time)
 
 
 def _cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
-    mesh, materials, elem, flux = _prepare(cfg)
-    op = SpatialOperator(mesh, materials, elem, flux)
+    case = _build_case(cfg)
 
     if cfg.dt is None:
-        bound = theoretical_bound(mesh, materials, cfg.order, cfg.alpha, cfg.bc)
+        bound = case.theory()
         dt = cfg.safety * bound.dt_bound
         print(f"auto dt: {dt!r} (bound {bound.dt_bound!r}, safety {cfg.safety})")
     else:
         dt = cfg.dt
 
-    state0 = initial_conditions(cfg.initial_condition(), mesh, elem,
-                                materials, dt)
-    config = RunConfig(dt=dt, final_time=cfg.final_time,
+    state0 = initial_conditions(case.initial, case.mesh, case.elem,
+                                case.materials, dt)
+    config = RunConfig(dt=dt, final_time=case.final_time,
                        record_energy_every=cfg.energy_every,
                        blowup_factor=cfg.blowup_factor)
-    result = run(state0, op, config)
+    result = run(state0, case.op, config)
 
     os.makedirs(args.out, exist_ok=True)
     write_energy_csv(os.path.join(args.out, "energy.csv"), result)
@@ -108,7 +107,7 @@ def _cmd_simulate(args) -> int:
               encoding="utf-8") as handle:
         handle.write(cfg.to_text())
     if cfg.fields_out:
-        _write_fields(os.path.join(args.out, "fields.csv"), op, result.state)
+        _write_fields(os.path.join(args.out, "fields.csv"), case.op, result.state)
 
     if result.status != STATUS_COMPLETED:
         print(f"blowup at step {result.blowup_step} "
@@ -132,7 +131,8 @@ def _write_fields(path, op, state) -> None:
 
 def _cmd_bound(args) -> int:
     cfg = parse_config(args.config)
-    mesh, materials, _, _ = _prepare(cfg)
+    mesh = cfg.build_mesh()
+    materials = cfg.build_materials(mesh)
     bound = theoretical_bound(mesh, materials, cfg.order, cfg.alpha, cfg.bc)
     print(f"2D bound for order {cfg.order}, alpha {cfg.alpha}, bc {cfg.bc}, "
           f"h_min {mesh.h_min!r}:")
@@ -167,15 +167,10 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_dtmax(args) -> int:
-    cfg = parse_config(args.config)
-    mesh, materials, elem, flux = _prepare(cfg)
-    case = StabilityCase(mesh, materials, cfg.order, cfg.alpha, cfg.bc,
-                         initial=cfg.initial_condition(),
-                         final_time=cfg.final_time)
-    tol = args.tol if args.tol is not None else 1e-2
-    search = find_dtmax(case, tol=tol)
-    c = cfl_constant(search.dt_max, cfg.order, mesh.h_min)
-    print(f"h_min        = {mesh.h_min!r}")
+    case = _build_case(parse_config(args.config))
+    search = find_dtmax(case) if args.tol is None else find_dtmax(case, tol=args.tol)
+    c = cfl_constant(search.dt_max, case.order, case.mesh.h_min)
+    print(f"h_min        = {case.mesh.h_min!r}")
     print(f"dt_max       = {search.dt_max!r}")
     print(f"C            = {c!r}")
     print(f"theory bound = {search.theory_bound!r}")
@@ -187,7 +182,7 @@ def _cmd_dtmax(args) -> int:
 def _cmd_table(args) -> int:
     spec = parse_table_spec(args.config)
     if args.tol is not None:
-        spec.tol = args.tol
+        spec = dataclasses.replace(spec, tol=args.tol)
 
     def progress(row):
         if row.error is None:
@@ -199,7 +194,6 @@ def _cmd_table(args) -> int:
     rows = run_table(spec, progress=progress)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, table_filename(spec.bc, spec.alpha))
-    from .experiments import write_table_csv
     write_table_csv(rows, path)
     print(f"wrote {path}")
     return EXIT_OK
@@ -215,7 +209,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, MeshError, MaterialError) as exc:
+    except (ConfigError, DomainError, InvalidOrderError, MeshError,
+            MaterialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DgtdError as exc:

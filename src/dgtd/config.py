@@ -37,14 +37,14 @@ A simulation config looks like::
 
 A mesh file replaces `kind = structured` with `kind = file` plus
 `path = mesh.txt`; a per-element material table replaces the tensor
-entries with `table = materials.txt` (rows: k exx exy eyx eyy mu).
-Table sweeps use a `[sweep]` section instead of `[time]`/`[initial]`.
+entries and `mu` with `table = materials.txt` (rows: k exx exy eyx eyy mu).
+Table sweeps use a `[sweep]` section instead of `[time]`/`[initial]`. A key
+left out takes its default from `SimulationConfig` or `SweepSpec`.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass
 
@@ -52,7 +52,7 @@ import numpy as np
 
 from .dg_core import normalize_bc
 from .errors import ConfigError
-from .experiments import BENCHMARK_EPS, DEFAULT_BOUNDED_FACTOR, SweepSpec
+from .experiments import BENCHMARK_EPS, SweepSpec
 from .leapfrog import DEFAULT_BLOWUP_FACTOR, default_initial_condition
 from .materials import MaterialMap, PermittivityTensor
 from .mesh import Mesh2D, load_mesh, structured_square_mesh
@@ -133,8 +133,8 @@ class SimulationConfig:
             lines += [
                 f"eps_xx = {self.eps.xx!r}", f"eps_xy = {self.eps.xy!r}",
                 f"eps_yx = {self.eps.yx!r}", f"eps_yy = {self.eps.yy!r}",
+                f"mu = {self.mu!r}",
             ]
-        lines += [f"mu = {self.mu!r}"]
         lines += [
             "", "[discretization]",
             f"order = {self.order}", f"alpha = {self.alpha!r}", f"bc = {self.bc}",
@@ -243,17 +243,17 @@ def _require_file(path, what: str, config_path):
 
 
 def _read_material(reader: _Reader, cfg: SimulationConfig):
-    if reader.get("material", "table") is not None:
-        cfg.material_table = reader.get("material", "table")
+    cfg.material_table = reader.get("material", "table")
+    if cfg.material_table is not None:
         _require_file(cfg.material_table, "material table", reader.path)
     else:
         cfg.eps = PermittivityTensor(
-            reader.get_float("material", "eps_xx", BENCHMARK_EPS.xx),
-            reader.get_float("material", "eps_xy", BENCHMARK_EPS.xy),
-            reader.get_float("material", "eps_yx", BENCHMARK_EPS.yx),
-            reader.get_float("material", "eps_yy", BENCHMARK_EPS.yy),
+            reader.get_float("material", "eps_xx", cfg.eps.xx),
+            reader.get_float("material", "eps_xy", cfg.eps.xy),
+            reader.get_float("material", "eps_yx", cfg.eps.yx),
+            reader.get_float("material", "eps_yy", cfg.eps.yy),
         )
-    cfg.mu = reader.get_float("material", "mu", 1.0)
+        cfg.mu = reader.get_float("material", "mu", cfg.mu)
 
 
 def parse_config(path) -> SimulationConfig:
@@ -262,26 +262,26 @@ def parse_config(path) -> SimulationConfig:
     reader = _Reader(path)
     cfg = SimulationConfig()
 
-    cfg.mesh_kind = reader.get("mesh", "kind", "structured")
+    cfg.mesh_kind = reader.get("mesh", "kind", cfg.mesh_kind)
     if cfg.mesh_kind == "structured":
-        cfg.cells = reader.get_int("mesh", "cells", 10)
-        cfg.xmin = reader.get_float("mesh", "xmin", -1.0)
-        cfg.xmax = reader.get_float("mesh", "xmax", 1.0)
-        cfg.ymin = reader.get_float("mesh", "ymin", -1.0)
-        cfg.ymax = reader.get_float("mesh", "ymax", 1.0)
-        cfg.diagonal = reader.get("mesh", "diagonal", "slash")
+        cfg.cells = reader.get_int("mesh", "cells", cfg.cells)
+        cfg.xmin = reader.get_float("mesh", "xmin", cfg.xmin)
+        cfg.xmax = reader.get_float("mesh", "xmax", cfg.xmax)
+        cfg.ymin = reader.get_float("mesh", "ymin", cfg.ymin)
+        cfg.ymax = reader.get_float("mesh", "ymax", cfg.ymax)
+        cfg.diagonal = reader.get("mesh", "diagonal", cfg.diagonal)
     elif cfg.mesh_kind == "file":
         cfg.mesh_path = reader.get("mesh", "path", required=True)
-        cfg.reorient = reader.get_bool("mesh", "reorient", False)
+        cfg.reorient = reader.get_bool("mesh", "reorient", cfg.reorient)
         _require_file(cfg.mesh_path, "mesh", path)
     else:
         raise ConfigError(f"{path}: unknown mesh kind {cfg.mesh_kind!r}")
 
     _read_material(reader, cfg)
 
-    cfg.order = reader.get_int("discretization", "order", 1)
-    cfg.alpha = reader.get_float("discretization", "alpha", 0.0)
-    cfg.bc = normalize_bc(reader.get("discretization", "bc", "PEC"))
+    cfg.order = reader.get_int("discretization", "order", cfg.order)
+    cfg.alpha = reader.get_float("discretization", "alpha", cfg.alpha)
+    cfg.bc = normalize_bc(reader.get("discretization", "bc", cfg.bc))
 
     dt_raw = reader.get("time", "dt", "auto")
     if dt_raw != "auto":
@@ -291,8 +291,10 @@ def parse_config(path) -> SimulationConfig:
             raise ConfigError(f"{path}: dt must be a number or 'auto'") from exc
         if cfg.dt <= 0.0:
             raise ConfigError(f"{path}: dt must be positive")
-    cfg.safety = reader.get_float("time", "safety", 0.5)
-    cfg.final_time = reader.get_float("time", "final_time", 1.0)
+    cfg.safety = reader.get_float("time", "safety", cfg.safety)
+    if not cfg.safety > 0.0:
+        raise ConfigError(f"{path}: safety must be positive")
+    cfg.final_time = reader.get_float("time", "final_time", cfg.final_time)
     if cfg.final_time <= 0.0:
         raise ConfigError(f"{path}: final_time must be positive")
 
@@ -301,56 +303,44 @@ def parse_config(path) -> SimulationConfig:
     if cfg.initial == "custom":
         cfg.custom_hz = reader.get("initial", "hz", required=True)
 
-    cfg.energy_every = reader.get_int("output", "energy_every", 1)
-    cfg.fields_out = reader.get_bool("output", "fields", False)
+    cfg.energy_every = reader.get_int("output", "energy_every", cfg.energy_every)
+    cfg.fields_out = reader.get_bool("output", "fields", cfg.fields_out)
     cfg.blowup_factor = reader.get_float("output", "blowup_factor",
-                                         DEFAULT_BLOWUP_FACTOR)
+                                         cfg.blowup_factor)
     reader.reject_unread()
     return cfg
 
 
 def parse_table_spec(path) -> SweepSpec:
-    """Parse a `[sweep]` spec file for table generation."""
+    """Parse a `[sweep]` spec file for table generation; SweepSpec checks it."""
     reader = _Reader(path)
     if not reader.has("sweep"):
         raise ConfigError(f"{path}: missing [sweep] section")
 
-    cells = reader.get_list("sweep", "cells", int, required=True)
-    orders = reader.get_list("sweep", "orders", int, required=True)
-
+    fields = {
+        "cells": reader.get_list("sweep", "cells", int, required=True),
+        "orders": reader.get_list("sweep", "orders", int, required=True),
+        "bc": reader.get("sweep", "bc", required=True),
+    }
     flux = reader.get("sweep", "flux")
     if flux is not None:
         if reader.has("sweep", "alpha"):
             raise ConfigError(f"{path}: give [sweep] flux or alpha, not both")
         if flux not in ("central", "upwind"):
             raise ConfigError(f"{path}: flux must be central or upwind")
-        alpha = 0.0 if flux == "central" else 1.0
+        fields["alpha"] = 0.0 if flux == "central" else 1.0
     else:
-        alpha = reader.get_float("sweep", "alpha", 0.0)
+        fields["alpha"] = reader.get_float("sweep", "alpha", 0.0)
+    for key in ("tol", "final_time", "bounded_factor"):
+        value = reader.get_float("sweep", key)
+        if value is not None:
+            fields[key] = value
 
-    cfg = SimulationConfig()
     if reader.has("material"):
+        cfg = SimulationConfig()
         _read_material(reader, cfg)
         if cfg.material_table is not None:
             raise ConfigError(f"{path}: sweeps require a constant tensor")
-
-    spec = SweepSpec(
-        cells=cells,
-        orders=orders,
-        alpha=alpha,
-        bc=reader.get("sweep", "bc", required=True),
-        tol=reader.get_float("sweep", "tol", 1e-2),
-        final_time=reader.get_float("sweep", "final_time", 1.0),
-        diagonal=reader.get("sweep", "diagonal", "slash"),
-        eps=cfg.eps,
-        mu=cfg.mu,
-        initial=reader.get("sweep", "initial"),
-        bounded_factor=reader.get_float("sweep", "bounded_factor",
-                                        DEFAULT_BOUNDED_FACTOR),
-    )
-    if not 0.0 < spec.tol <= 0.1:
-        raise ConfigError(f"{path}: tol must lie in (0, 0.1]")
-    if any(not math.isfinite(c) or c < 1 for c in cells):
-        raise ConfigError(f"{path}: cells entries must be >= 1")
+        fields.update(eps=cfg.eps, mu=cfg.mu)
     reader.reject_unread()
-    return spec
+    return SweepSpec(**fields)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from .dg_core import FluxParams, SpatialOperator, normalize_bc
-from .errors import SweepError
+from .errors import DomainError, SweepError
 from .leapfrog import (
     RunConfig,
     default_initial_condition,
@@ -82,16 +82,12 @@ class StabilityCase:
                                  self.alpha, self.bc)
 
 
-def benchmark_case(cells: int, order: int, alpha: float, bc: str,
-                   diagonal: str = "slash", final_time: float = 1.0,
-                   eps: PermittivityTensor = BENCHMARK_EPS,
-                   mu: float = 1.0) -> StabilityCase:
+def benchmark_case(cells: int, order: int, alpha: float, bc: str) -> StabilityCase:
     """The anisotropic square-cavity setup used by the CFL tables:
-    domain (-1,1)^2, constant tensor eps, mu = 1, T = 1."""
-    mesh = structured_square_mesh(cells, diagonal=diagonal)
-    materials = MaterialMap.uniform(mesh.n_elements, eps, mu)
-    return StabilityCase(mesh, materials, order, alpha, bc,
-                         final_time=final_time)
+    domain (-1,1)^2, constant tensor BENCHMARK_EPS, mu = 1, T = 1."""
+    mesh = structured_square_mesh(cells)
+    materials = MaterialMap.uniform(mesh.n_elements, BENCHMARK_EPS, 1.0)
+    return StabilityCase(mesh, materials, order, alpha, bc)
 
 
 def classify_stability(dt: float, case: StabilityCase) -> bool:
@@ -122,6 +118,12 @@ class DtMaxSearch:
     theory_bound: float
 
 
+def check_tol(tol: float) -> None:
+    """DomainError unless the relative bisection tolerance lies in (0, 0.1]."""
+    if not 0.0 < tol <= 0.1:
+        raise DomainError(f"tolerance must lie in (0, 0.1], got {tol}")
+
+
 def find_dtmax(case: StabilityCase, tol: float = 1e-2) -> DtMaxSearch:
     """Largest stable time step, located by bracketing plus bisection.
 
@@ -137,8 +139,7 @@ def find_dtmax(case: StabilityCase, tol: float = 1e-2) -> DtMaxSearch:
     flips, then bisects the bracket to the relative tolerance and
     returns the last stable iterate.
     """
-    if not 0.0 < tol <= 0.1:
-        raise SweepError(f"tolerance must lie in (0, 0.1], got {tol}")
+    check_tol(tol)
     theory = case.theory().dt_bound
     try:
         estimate = spectral_dt(case.op, tol=START_TOL)
@@ -183,7 +184,8 @@ def cfl_constant(dt_max: float, order: int, h_min: float) -> float:
 
 @dataclass
 class SweepSpec:
-    """Grid of (mesh refinement, order) cases sharing flux and materials."""
+    """Grid of (mesh refinement, order) cases sharing flux and materials;
+    a bad tol, cells entry or bounded_factor raises DomainError."""
 
     cells: list[int]
     orders: list[int]
@@ -191,14 +193,17 @@ class SweepSpec:
     bc: str
     tol: float = 1e-2
     final_time: float = 1.0
-    diagonal: str = "slash"
     eps: PermittivityTensor = BENCHMARK_EPS
     mu: float = 1.0
-    initial: str | None = None  # None: pec_cosine, or sm_sine under SM
     bounded_factor: float = DEFAULT_BOUNDED_FACTOR
 
     def __post_init__(self):
         self.bc = normalize_bc(self.bc)
+        check_tol(self.tol)
+        if any(c < 1 for c in self.cells):
+            raise DomainError(f"cells entries must be >= 1, got {self.cells}")
+        if not self.bounded_factor > 1.0:
+            raise DomainError(f"bounded_factor must be > 1, got {self.bounded_factor}")
 
 
 @dataclass
@@ -224,13 +229,11 @@ def table_filename(bc: str, alpha: float) -> str:
 
 
 def _run_one(spec: SweepSpec, cells: int, order: int) -> SweepRow:
-    case = benchmark_case(cells, order, spec.alpha, spec.bc,
-                          diagonal=spec.diagonal,
-                          final_time=spec.final_time,
-                          eps=spec.eps, mu=spec.mu)
-    if spec.initial is not None:
-        case.initial = spec.initial
-    case.bounded_factor = spec.bounded_factor
+    mesh = structured_square_mesh(cells)
+    materials = MaterialMap.uniform(mesh.n_elements, spec.eps, spec.mu)
+    case = StabilityCase(mesh, materials, order, spec.alpha, spec.bc,
+                         final_time=spec.final_time,
+                         bounded_factor=spec.bounded_factor)
     row = SweepRow(h_min=case.mesh.h_min, order=order)
     try:
         search = find_dtmax(case, tol=spec.tol)

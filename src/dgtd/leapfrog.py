@@ -135,6 +135,8 @@ class RunConfig:
             raise ConfigError("dt must be >= 0 and final_time > 0")
         if self.record_energy_every < 1:
             raise ConfigError("record_energy_every must be >= 1")
+        if not self.blowup_factor > 1.0:
+            raise ConfigError("blowup_factor must be > 1")
 
     @property
     def n_steps(self) -> int:
@@ -163,7 +165,8 @@ def run(state0: FieldState, op: SpatialOperator, config: RunConfig) -> RunResult
 
     Aborts with a "blewup" status (not an exception) as soon as the
     energy exceeds blowup_factor times its initial value or any field
-    value stops being finite.
+    value stops being finite. Overflow on the way to a blowup is that
+    status, so numpy does not warn about it.
     """
     mesh, materials, elem = op.mesh, op.materials, op.elem
     state = state0
@@ -173,17 +176,18 @@ def run(state0: FieldState, op: SpatialOperator, config: RunConfig) -> RunResult
 
     n_steps = config.n_steps
     every = config.record_energy_every
-    for m in range(n_steps):
-        try:
-            state = step(state, op, config.dt)
-        except BlowupDetected as blow:
-            trace.append((blow.step, blow.step * config.dt, math.inf))
-            return RunResult(state, np.array(trace), STATUS_BLEWUP, blow.step)
-        if (m + 1) % every == 0 or m + 1 == n_steps:
-            energy = discrete_energy(state, mesh, materials, elem)
-            trace.append((state.step, state.time_E, energy))
-            if not math.isfinite(energy) or energy > threshold:
-                return RunResult(state, np.array(trace), STATUS_BLEWUP, state.step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(n_steps):
+            try:
+                state = step(state, op, config.dt)
+            except BlowupDetected as blow:
+                trace.append((blow.step, blow.step * config.dt, math.inf))
+                return RunResult(state, np.array(trace), STATUS_BLEWUP, blow.step)
+            if (m + 1) % every == 0 or m + 1 == n_steps:
+                energy = discrete_energy(state, mesh, materials, elem)
+                trace.append((state.step, state.time_E, energy))
+                if not math.isfinite(energy) or energy > threshold:
+                    return RunResult(state, np.array(trace), STATUS_BLEWUP, state.step)
     return RunResult(state, np.array(trace), STATUS_COMPLETED)
 
 

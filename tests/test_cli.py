@@ -9,6 +9,7 @@ import pytest
 from dgtd.cli import main
 from dgtd.config import parse_config, parse_table_spec
 from dgtd.errors import ConfigError
+from dgtd.experiments import SweepSpec
 
 PEC_CONFIG = """\
 [mesh]
@@ -264,6 +265,11 @@ def test_parse_table_spec_errors(tmp_path):
     with pytest.raises(ConfigError, match="not both"):
         parse_table_spec(write(tmp_path, "t5.cfg",
                                "[sweep]\ncells = 5\norders = 1\nbc = PEC\nflux = upwind\nalpha = 0.5\n"))
+    for key in ("diagonal = backslash", "initial = zero"):
+        with pytest.raises(ConfigError, match=r"unknown or unused \[sweep\] keys: "
+                                              + key.split()[0]):
+            parse_table_spec(write(tmp_path, "t7.cfg",
+                                   f"[sweep]\ncells = 5\norders = 1\nbc = PEC\n{key}\n"))
     spec = parse_table_spec(write(tmp_path, "t3.cfg", """\
 [sweep]
 cells = 5, 10
@@ -275,6 +281,8 @@ bc = SM
     assert spec.orders == [1, 2, 3]
     assert spec.alpha == 0.0
     assert spec.bc == "SM"
+    # keys the file leaves out take SweepSpec's defaults
+    assert spec == SweepSpec(cells=[5, 10], orders=[1, 2, 3], alpha=0.0, bc="SM")
 
 
 def test_material_table_config(tmp_path):
@@ -282,8 +290,47 @@ def test_material_table_config(tmp_path):
     table.write_text("0 1 0 0 1 1\n1 4 0 0 4 1\n")
     text = PEC_CONFIG.replace("cells = 5", "cells = 1").replace(
         "eps_xx = 5.0\neps_xy = 1.0\neps_yx = 1.0\neps_yy = 3.0\nmu = 1.0",
-        f"table = {table}\nmu = 1.0")
+        f"table = {table}")
     cfg = parse_config(write(tmp_path, "run.cfg", text))
     mesh = cfg.build_mesh()
     mats = cfg.build_materials(mesh)
     assert mats.eps[1, 0, 0] == 4.0
+    assert "\nmu = " not in cfg.to_text()
+    # the table's last column is mu: a [material] mu beside it would be ignored
+    with pytest.raises(ConfigError, match=r"unknown or unused \[material\] keys: mu"):
+        parse_config(write(tmp_path, "mu.cfg",
+                           text.replace(f"table = {table}", f"table = {table}\nmu = 7.0")))
+
+
+TABLE_SPEC = "[sweep]\ncells = 5\norders = 1\nflux = upwind\nbc = PEC\ntol = 0.05\n"
+BAD_SIMULATION_VALUES = {
+    "order0": ("order = 1", "order = 0"),
+    "cells0": ("cells = 5", "cells = 0"),
+    "diagonal": ("cells = 5", "cells = 5\ndiagonal = diag"),
+}
+
+
+@pytest.mark.parametrize("command, text, flags", [
+    pytest.param(command, PEC_CONFIG.replace(*edit), [], id=f"{command}-{name}")
+    for command in ("simulate", "bound")
+    for name, edit in BAD_SIMULATION_VALUES.items()
+] + [
+    pytest.param("simulate", PEC_CONFIG.replace("safety = 0.5", "safety = 0"), [],
+                 id="simulate-safety0"),
+    pytest.param("simulate", PEC_CONFIG + "\n[output]\nblowup_factor = 1.0\n", [],
+                 id="simulate-blowup_factor1"),
+    pytest.param("dtmax-sweep", PEC_CONFIG, ["--tol", "0.5"], id="dtmax-sweep-tol-flag"),
+    pytest.param("table", TABLE_SPEC, ["--tol", "0.5"], id="table-tol-flag"),
+    pytest.param("table", TABLE_SPEC.replace("tol = 0.05", "tol = 0.5"), [],
+                 id="table-tol-key"),
+    pytest.param("table", TABLE_SPEC + "bounded_factor = 0.5\n", [],
+                 id="table-bounded_factor"),
+    pytest.param("table", TABLE_SPEC.replace("cells = 5", "cells = 5 0"), [],
+                 id="table-cells0"),
+])
+def test_bad_values_exit_2_and_write_nothing(tmp_path, capsys, command, text, flags):
+    cfg = write(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -212,6 +212,31 @@ def test_run_table_grid_and_csv(tmp_path):
     assert path.name == "table_pec_upwind.csv"
 
 
+def test_run_table_forwards_every_spec_field(monkeypatch):
+    import dgtd.experiments as experiments
+    from dgtd import PermittivityTensor
+
+    searched = []
+
+    def fake_find_dtmax(case, tol):
+        searched.append((case, tol))
+        return experiments.DtMaxSearch(dt_max=0.1, iterations=0, runs=1,
+                                       theory_bound=0.01)
+
+    monkeypatch.setattr(experiments, "find_dtmax", fake_find_dtmax)
+    spec = SweepSpec(cells=[3], orders=[2], alpha=0.5, bc="PMC", tol=0.05,
+                     final_time=0.75, eps=PermittivityTensor(2.0, 0.5, 0.5, 1.5),
+                     mu=2.0, bounded_factor=3.0)
+    row, = run_table(spec)
+    (case, tol), = searched
+    assert tol == 0.05
+    assert (case.mesh.n_elements, case.order, case.alpha, case.bc) == (18, 2, 0.5, "PMC")
+    assert (case.final_time, case.bounded_factor) == (0.75, 3.0)
+    np.testing.assert_array_equal(case.materials.eps, [[[2.0, 0.5], [0.5, 1.5]]] * 18)
+    np.testing.assert_array_equal(case.materials.mu, 2.0)
+    assert (row.dt_max, row.theory_bound) == (0.1, 0.01)
+
+
 def test_run_table_empty_orders():
     spec = SweepSpec(cells=[5], orders=[], alpha=0.0, bc="PEC")
     assert run_table(spec) == []
