@@ -105,7 +105,7 @@ def _cmd_simulate(args) -> int:
     write_energy_csv(os.path.join(args.out, "energy.csv"), result)
     with open(os.path.join(args.out, "effective.cfg"), "w",
               encoding="utf-8") as handle:
-        handle.write(cfg.to_text())
+        handle.write(cfg.effective_text)
     if cfg.fields_out:
         _write_fields(os.path.join(args.out, "fields.csv"), case.op, result.state)
 
@@ -138,11 +138,8 @@ def _cmd_bound(args) -> int:
           f"h_min {mesh.h_min!r}:")
     print(bound.report())
 
-    rows = [("dim", "c_inv", "c_tau", "beta1", "beta2", "beta3",
-             "c_e", "c_h", "dt_bound")]
-    rows.append(("2", *(repr(v) for v in (
-        bound.c_inv, bound.c_tau, bound.beta1, bound.beta2, bound.beta3,
-        bound.c_e, bound.c_h, bound.dt_bound))))
+    rows = [("dim", *(f.name for f in dataclasses.fields(bound))),
+            ("2", *map(repr, dataclasses.astuple(bound)))]
 
     if args.three_d:
         imp = face_impedances(materials, mesh)
@@ -154,9 +151,7 @@ def _cmd_bound(args) -> int:
         )
         print(f"\n3D bound (h_min {h3!r}):")
         print(bound3.report())
-        rows.append(("3", *(repr(v) for v in (
-            bound3.c_inv, bound3.c_tau, bound3.beta1, bound3.beta2,
-            bound3.beta3, bound3.c_e, bound3.c_h, bound3.dt_bound))))
+        rows.append(("3", *map(repr, dataclasses.astuple(bound3))))
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "bound.csv"), "w",

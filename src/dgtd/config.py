@@ -39,14 +39,16 @@ A mesh file replaces `kind = structured` with `kind = file` plus
 `path = mesh.txt`; a per-element material table replaces the tensor
 entries and `mu` with `table = materials.txt` (rows: k exx exy eyx eyy mu).
 Table sweeps use a `[sweep]` section instead of `[time]`/`[initial]`. A key
-left out takes its default from `SimulationConfig` or `SweepSpec`.
+left out takes its default from `SimulationConfig` or `SweepSpec`; every
+number given must be finite.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,6 +91,9 @@ class SimulationConfig:
     fields_out: bool = False
     blowup_factor: float = DEFAULT_BLOWUP_FACTOR
 
+    # every key the parse read, with the value it used, as config text
+    effective_text: str = field(default="", init=False, repr=False)
+
     def build_mesh(self) -> Mesh2D:
         if self.mesh_kind == "structured":
             return structured_square_mesh(self.cells, self.xmin, self.xmax,
@@ -97,7 +102,11 @@ class SimulationConfig:
 
     def build_materials(self, mesh: Mesh2D) -> MaterialMap:
         if self.material_table is not None:
-            rows = np.loadtxt(self.material_table, ndmin=2)
+            try:
+                rows = np.loadtxt(self.material_table, ndmin=2)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(
+                    f"material table {self.material_table}: {exc}") from exc
             return MaterialMap.from_table(mesh.n_elements, rows)
         return MaterialMap.uniform(mesh.n_elements, self.eps, self.mu)
 
@@ -113,51 +122,10 @@ class SimulationConfig:
                         dict(names, x=x, y=y, t=dt / 2.0))
         return custom
 
-    def to_text(self) -> str:
-        """Serialize the effective configuration (round-trips exactly)."""
-        lines = ["[mesh]", f"kind = {self.mesh_kind}"]
-        if self.mesh_kind == "structured":
-            lines += [
-                f"cells = {self.cells}",
-                f"xmin = {self.xmin!r}", f"xmax = {self.xmax!r}",
-                f"ymin = {self.ymin!r}", f"ymax = {self.ymax!r}",
-                f"diagonal = {self.diagonal}",
-            ]
-        else:
-            lines += [f"path = {self.mesh_path}",
-                      f"reorient = {str(self.reorient).lower()}"]
-        lines += ["", "[material]"]
-        if self.material_table is not None:
-            lines += [f"table = {self.material_table}"]
-        else:
-            lines += [
-                f"eps_xx = {self.eps.xx!r}", f"eps_xy = {self.eps.xy!r}",
-                f"eps_yx = {self.eps.yx!r}", f"eps_yy = {self.eps.yy!r}",
-                f"mu = {self.mu!r}",
-            ]
-        lines += [
-            "", "[discretization]",
-            f"order = {self.order}", f"alpha = {self.alpha!r}", f"bc = {self.bc}",
-            "", "[time]",
-            "dt = auto" if self.dt is None else f"dt = {self.dt!r}",
-            f"safety = {self.safety!r}",
-            f"final_time = {self.final_time!r}",
-            "", "[initial]",
-            f"name = {self.initial}",
-        ]
-        if self.initial == "custom":
-            lines += [f"hz = {self.custom_hz}"]
-        lines += [
-            "", "[output]",
-            f"energy_every = {self.energy_every}",
-            f"fields = {str(self.fields_out).lower()}",
-            f"blowup_factor = {self.blowup_factor!r}",
-        ]
-        return "\n".join(lines) + "\n"
-
 
 class _Reader:
-    """configparser wrapper with typed getters and error context."""
+    """configparser wrapper with typed getters and error context; it records
+    each (section, key) asked for, in order, with the value the parse used."""
 
     def __init__(self, path):
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -170,19 +138,38 @@ class _Reader:
             raise ConfigError(f"malformed config {path}: {exc}") from exc
         self.parser = parser
         self.path = path
-        self.asked: set[tuple[str, str]] = set()
+        self.read: dict[tuple[str, str], object] = {}
 
     def reject_unread(self) -> None:
         """ConfigError on any section or key the parse never asked for."""
-        asked_sections = {section for section, _ in self.asked}
+        asked_sections = {section for section, _ in self.read}
         for section in self.parser.sections():
             if section not in asked_sections:
                 raise ConfigError(f"{self.path}: unknown section [{section}]")
             unread = sorted(key for key in self.parser.options(section)
-                            if (section, key) not in self.asked)
+                            if (section, key) not in self.read)
             if unread:
                 raise ConfigError(f"{self.path}: unknown or unused [{section}] "
                                   f"keys: {', '.join(unread)}")
+
+    def effective_text(self) -> str:
+        """Config text of the keys read with the values used (true/false
+        for a boolean, repr for a number), sections in the order asked."""
+        sections: dict[str, list[str]] = {}
+        for (section, key), value in self.read.items():
+            if isinstance(value, bool):
+                value = str(value).lower()
+            elif isinstance(value, (int, float)):
+                value = repr(value)
+            if value is not None:
+                sections.setdefault(section, []).append(f"{key} = {value}")
+        return "\n\n".join(f"[{section}]\n" + "\n".join(lines)
+                           for section, lines in sections.items()) + "\n"
+
+    def note(self, section: str, key: str, value):
+        """Record value as the one the parse used for the key; returns it."""
+        self.read[(section, key)] = value
+        return value
 
     def has(self, section: str, key: str | None = None) -> bool:
         if key is None:
@@ -190,23 +177,28 @@ class _Reader:
         return self.parser.has_option(section, key)
 
     def get(self, section: str, key: str, default=None, required=False) -> str:
-        self.asked.add((section, key))
-        if not self.parser.has_option(section, key):
-            if required:
-                raise ConfigError(f"{self.path}: missing [{section}] {key}")
-            return default
-        return self.parser.get(section, key).strip()
+        if self.parser.has_option(section, key):
+            value = self.parser.get(section, key).strip()
+        elif required:
+            raise ConfigError(f"{self.path}: missing [{section}] {key}")
+        else:
+            value = default
+        return self.note(section, key, value)
 
     def _typed(self, caster, section, key, default, required=False):
         raw = self.get(section, key, None, required=required)
         if raw is None:
-            return default
+            return self.note(section, key, default)
         try:
-            return caster(raw)
+            value = caster(raw)
         except ValueError as exc:
             raise ConfigError(
                 f"{self.path}: bad value for [{section}] {key}: {raw!r}"
             ) from exc
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(
+                f"{self.path}: [{section}] {key} must be finite, got {raw!r}")
+        return self.note(section, key, value)
 
     def get_float(self, section, key, default=None, required=False):
         return self._typed(float, section, key, default, required)
@@ -217,12 +209,12 @@ class _Reader:
     def get_bool(self, section, key, default=False):
         raw = self.get(section, key)
         if raw is None:
-            return default
+            return self.note(section, key, default)
         low = raw.lower()
         if low in ("true", "yes", "on", "1"):
-            return True
+            return self.note(section, key, True)
         if low in ("false", "no", "off", "0"):
-            return False
+            return self.note(section, key, False)
         raise ConfigError(f"{self.path}: bad boolean for [{section}] {key}: {raw!r}")
 
     def get_list(self, section, key, caster, required=False):
@@ -281,14 +273,11 @@ def parse_config(path) -> SimulationConfig:
 
     cfg.order = reader.get_int("discretization", "order", cfg.order)
     cfg.alpha = reader.get_float("discretization", "alpha", cfg.alpha)
-    cfg.bc = normalize_bc(reader.get("discretization", "bc", cfg.bc))
+    cfg.bc = reader.note("discretization", "bc",
+                         normalize_bc(reader.get("discretization", "bc", cfg.bc)))
 
-    dt_raw = reader.get("time", "dt", "auto")
-    if dt_raw != "auto":
-        try:
-            cfg.dt = float(dt_raw)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: dt must be a number or 'auto'") from exc
+    if reader.get("time", "dt", "auto") != "auto":
+        cfg.dt = reader.get_float("time", "dt")
         if cfg.dt <= 0.0:
             raise ConfigError(f"{path}: dt must be positive")
     cfg.safety = reader.get_float("time", "safety", cfg.safety)
@@ -308,6 +297,7 @@ def parse_config(path) -> SimulationConfig:
     cfg.blowup_factor = reader.get_float("output", "blowup_factor",
                                          cfg.blowup_factor)
     reader.reject_unread()
+    cfg.effective_text = reader.effective_text()
     return cfg
 
 

@@ -47,7 +47,6 @@ from .reference_element import ReferenceElement
 BC_PEC = "PEC"
 BC_PMC = "PMC"
 BC_SM = "SM"
-BOUNDARY_CONDITIONS = (BC_PEC, BC_PMC, BC_SM)
 
 _BC_ALIASES = {
     "pec": BC_PEC,
@@ -181,7 +180,8 @@ class SpatialOperator:
         mesh = self.mesh
         # some face penalises the jumps: each half-step then reads both
         self.penalised = bool(alpha.any())
-        z_w, y_w, z_hz, y_e = _impedance_weights(self.impedance, mesh, self.materials)
+        z_w, y_w, z_hz, y_e = _impedance_weights(
+            face_impedances(self.materials, mesh), mesh, self.materials)
         nx, ny = mesh.normals[:, :, 0], mesh.normals[:, :, 1]
         ie0, ie1 = self.materials.inv_eps.transpose(2, 1, 0)[..., None]
         e_dir = ie1 * nx - ie0 * ny                                   # eps^-1 (-ny, nx)
@@ -196,12 +196,6 @@ class SpatialOperator:
             self._e_dir = _by_face(e_dir)
             self._e_from_e = _by_face(alpha * z_w)
             self._h_from_h = _by_face(alpha * y_w)
-
-    @property
-    def impedance(self) -> FaceImpedance:
-        """Face impedances, recomputed on access: the kernel keeps only the
-        flux coefficients folded from them."""
-        return face_impedances(self.materials, self.mesh)
 
     def _check_conforming_traces(self):
         mismatch = np.hypot(self.jump(self.x, 1.0), self.jump(self.y, 1.0))

@@ -32,7 +32,7 @@ from .leapfrog import (
 )
 from .materials import MaterialMap, PermittivityTensor
 from .mesh import Mesh2D, structured_square_mesh
-from .reference_element import build_reference_element
+from .reference_element import MAX_ORDER, build_reference_element
 from .stability import StabilityConstants, spectral_dt, theoretical_bound
 
 DT_CAP = 10.0
@@ -185,7 +185,8 @@ def cfl_constant(dt_max: float, order: int, h_min: float) -> float:
 @dataclass
 class SweepSpec:
     """Grid of (mesh refinement, order) cases sharing flux and materials;
-    a bad tol, cells entry or bounded_factor raises DomainError."""
+    a bad tol, cells or orders entry, final_time or bounded_factor raises
+    DomainError, and a bad alpha or bc ConfigError, before any case runs."""
 
     cells: list[int]
     orders: list[int]
@@ -198,10 +199,17 @@ class SweepSpec:
     bounded_factor: float = DEFAULT_BOUNDED_FACTOR
 
     def __post_init__(self):
-        self.bc = normalize_bc(self.bc)
+        # FluxParams owns the alpha range and the bc spellings
+        self.bc = FluxParams(self.alpha, self.bc).bc
         check_tol(self.tol)
         if any(c < 1 for c in self.cells):
             raise DomainError(f"cells entries must be >= 1, got {self.cells}")
+        if any(not 1 <= n <= MAX_ORDER for n in self.orders):
+            raise DomainError(f"orders entries must lie in 1..{MAX_ORDER}, "
+                              f"got {self.orders}")
+        if not 0.0 < self.final_time < math.inf:
+            raise DomainError(f"final_time must be positive and finite, "
+                              f"got {self.final_time}")
         if not self.bounded_factor > 1.0:
             raise DomainError(f"bounded_factor must be > 1, got {self.bounded_factor}")
 

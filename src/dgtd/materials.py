@@ -97,6 +97,8 @@ class MaterialMap:
         mu = np.asarray(mu, dtype=float)
         if eps.ndim != 3 or eps.shape[1:] != (2, 2) or mu.shape != (eps.shape[0],):
             raise MaterialError("eps must be (K,2,2) and mu (K,)")
+        if not (np.isfinite(eps).all() and np.isfinite(mu).all()):
+            raise MaterialError("permittivity and permeability must be finite")
         scale = np.maximum(np.abs(eps).max(axis=(1, 2)), 1.0)
         if np.any(np.abs(eps[:, 0, 1] - eps[:, 1, 0]) > _SYM_TOL * scale):
             raise MaterialError("per-element permittivity tensor not symmetric")
@@ -121,7 +123,6 @@ class MaterialMap:
         self.eps_lower = float((mean - rad).min())
         self.eps_upper = float((mean + rad).max())
         self.mu_lower = float(mu.min())
-        self.mu_upper = float(mu.max())
 
     @property
     def n_elements(self) -> int:
@@ -138,17 +139,27 @@ class MaterialMap:
 
     @staticmethod
     def from_table(n_elements: int, rows) -> "MaterialMap":
-        """Rows of (element, exx, exy, eyx, eyy, mu); every element covered."""
-        eps = np.full((n_elements, 2, 2), np.nan)
-        mu = np.full(n_elements, np.nan)
+        """Rows of (element, exx, exy, eyx, eyy, mu), one per element."""
+        eps = np.empty((n_elements, 2, 2))
+        mu = np.empty(n_elements)
+        given = np.zeros(n_elements, dtype=bool)
         for row in rows:
+            if len(row) != 6:
+                raise MaterialError("material table: rows need 6 columns "
+                                    f"(k exx exy eyx eyy mu), got {len(row)}")
+            if not float(row[0]).is_integer():
+                raise MaterialError(f"material table: element id {row[0]} "
+                                    "is not an integer")
             k = int(row[0])
             if k < 0 or k >= n_elements:
                 raise MaterialError(f"material table: element {k} out of range")
+            if given[k]:
+                raise MaterialError(f"material table: element {k} given twice")
+            given[k] = True
             eps[k] = [[row[1], row[2]], [row[3], row[4]]]
             mu[k] = row[5]
-        if np.any(np.isnan(mu)):
-            missing = int(np.flatnonzero(np.isnan(mu))[0])
+        if not given.all():
+            missing = int(np.flatnonzero(~given)[0])
             raise MaterialError(f"material table: element {missing} missing")
         return MaterialMap(eps, mu)
 

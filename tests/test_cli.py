@@ -93,6 +93,148 @@ def test_config_round_trip_byte_identical(tmp_path):
     assert (out1 / "effective.cfg").read_bytes() == (out2 / "effective.cfg").read_bytes()
 
 
+SQUARE_MESH = """\
+dgtd-mesh v1
+V 4
+0 0
+1 0
+1 1
+0 1
+T 2
+0 1 2
+0 3 2
+"""
+
+# non-canonical spellings of a file mesh with reorient, a material table
+# and a custom initial condition
+FILE_MESH_CONFIG = """\
+[mesh]
+kind = file
+path = {mesh}
+reorient = yes
+
+[material]
+table = {table}
+
+[discretization]
+order = 01
+alpha = 1
+bc = pec
+
+[time]
+dt = .05
+final_time = 1e-1
+
+[initial]
+name = custom
+hz = sin(pi * x) * y
+
+[output]
+fields = yes
+energy_every = 02
+"""
+
+FILE_MESH_EFFECTIVE = """\
+[mesh]
+kind = file
+path = {mesh}
+reorient = true
+
+[material]
+table = {table}
+
+[discretization]
+order = 1
+alpha = 1.0
+bc = PEC
+
+[time]
+dt = 0.05
+safety = 0.5
+final_time = 0.1
+
+[initial]
+name = custom
+hz = sin(pi * x) * y
+
+[output]
+energy_every = 2
+fields = true
+blowup_factor = 1000000.0
+"""
+
+# defaults for every section the file leaves out
+SPARSE_CONFIG = """\
+[mesh]
+cells = 02
+xmin = -1
+diagonal = backslash
+[discretization]
+bc = Silver-Muller
+[time]
+final_time = .25
+safety = 5e-1
+[output]
+fields = off
+blowup_factor = 1e3
+"""
+
+SPARSE_EFFECTIVE = """\
+[mesh]
+kind = structured
+cells = 2
+xmin = -1.0
+xmax = 1.0
+ymin = -1.0
+ymax = 1.0
+diagonal = backslash
+
+[material]
+eps_xx = 5.0
+eps_xy = 1.0
+eps_yx = 1.0
+eps_yy = 3.0
+mu = 1.0
+
+[discretization]
+order = 1
+alpha = 0.0
+bc = SM
+
+[time]
+dt = auto
+safety = 0.5
+final_time = 0.25
+
+[initial]
+name = sm_sine
+
+[output]
+energy_every = 1
+fields = false
+blowup_factor = 1000.0
+"""
+
+
+@pytest.mark.parametrize("text, expected", [
+    (FILE_MESH_CONFIG, FILE_MESH_EFFECTIVE),
+    (SPARSE_CONFIG, SPARSE_EFFECTIVE),
+], ids=["file-mesh-table-custom", "structured-defaults"])
+def test_effective_cfg_text(tmp_path, text, expected):
+    paths = {"mesh": write(tmp_path, "mesh.txt", SQUARE_MESH),
+             "table": write(tmp_path, "mats.txt",
+                            "0 5 1 1 3 1\n1 4 0 0 4 2\n")}
+    cfg = write(tmp_path, "run.cfg", text.format(**paths))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
+    effective = out1 / "effective.cfg"
+    assert effective.read_text() == expected.format(**paths)
+    # the written file reads back to the same run and the same text
+    assert main(["simulate", "--config", str(effective), "--out", str(out2)]) == 0
+    assert (out1 / "energy.csv").read_bytes() == (out2 / "energy.csv").read_bytes()
+    assert (out2 / "effective.cfg").read_bytes() == effective.read_bytes()
+
+
 def test_simulate_fields_output(tmp_path):
     text = PEC_CONFIG + "\n[output]\nfields = true\n"
     text = text.replace("final_time = 1.0", "final_time = 0.05")
@@ -295,7 +437,7 @@ def test_material_table_config(tmp_path):
     mesh = cfg.build_mesh()
     mats = cfg.build_materials(mesh)
     assert mats.eps[1, 0, 0] == 4.0
-    assert "\nmu = " not in cfg.to_text()
+    assert "\nmu = " not in cfg.effective_text
     # the table's last column is mu: a [material] mu beside it would be ignored
     with pytest.raises(ConfigError, match=r"unknown or unused \[material\] keys: mu"):
         parse_config(write(tmp_path, "mu.cfg",
@@ -307,6 +449,12 @@ BAD_SIMULATION_VALUES = {
     "order0": ("order = 1", "order = 0"),
     "cells0": ("cells = 5", "cells = 0"),
     "diagonal": ("cells = 5", "cells = 5\ndiagonal = diag"),
+    "dt-nan": ("dt = auto", "dt = nan"),
+    "dt-inf": ("dt = auto", "dt = inf"),
+    "final_time-nan": ("final_time = 1.0", "final_time = nan"),
+    "eps_xx-nan": ("eps_xx = 5.0", "eps_xx = nan"),
+    "mu-nan": ("mu = 1.0", "mu = nan"),
+    "mu-inf": ("mu = 1.0", "mu = inf"),
 }
 
 
@@ -327,10 +475,48 @@ BAD_SIMULATION_VALUES = {
                  id="table-bounded_factor"),
     pytest.param("table", TABLE_SPEC.replace("cells = 5", "cells = 5 0"), [],
                  id="table-cells0"),
+    pytest.param("table", TABLE_SPEC.replace("orders = 1", "orders = 1 0"), [],
+                 id="table-orders0"),
+    pytest.param("table", TABLE_SPEC.replace("orders = 1", "orders = 1 16"), [],
+                 id="table-orders16"),
+    pytest.param("table", TABLE_SPEC.replace("flux = upwind", "alpha = 1.5"), [],
+                 id="table-alpha"),
+    pytest.param("table", TABLE_SPEC + "final_time = 0\n", [], id="table-final_time0"),
+    pytest.param("table", TABLE_SPEC + "final_time = nan\n", [],
+                 id="table-final_time-nan"),
+    pytest.param("table", TABLE_SPEC.replace("tol = 0.05", "tol = nan"), [],
+                 id="table-tol-nan"),
 ])
 def test_bad_values_exit_2_and_write_nothing(tmp_path, capsys, command, text, flags):
     cfg = write(tmp_path, "run.cfg", text)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)] + flags) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    if command == "table":
+        assert captured.out == ""  # refused before any row runs
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bound"])
+@pytest.mark.parametrize("rows, match", [
+    ("0 1 0 0 1 1\n1 nan 0 0 1 1\n", "must be finite"),
+    ("0 1 0 0 1 1\n1 1 0 0 1 inf\n", "must be finite"),
+    ("0 1 0 0 1\n1 1 0 0 1\n", "6 columns"),
+    ("0 1 0 0 1 1\n1 1 0 0 x 1\n", "could not convert"),
+    ("0 1 0 0 1 1\n1 1 0 0 1 1\n1 2 0 0 2 1\n", "element 1 given twice"),
+    ("0 1 0 0 1 1\n0.5 1 0 0 1 1\n", "not an integer"),
+], ids=["eps-nan", "mu-inf", "five-columns", "non-numeric", "repeated", "fractional-id"])
+def test_bad_material_tables_exit_2_and_write_nothing(tmp_path, capsys, command,
+                                                      rows, match):
+    table = write(tmp_path, "mats.txt", rows)
+    text = PEC_CONFIG.replace("cells = 5", "cells = 1").replace(
+        "eps_xx = 5.0\neps_xy = 1.0\neps_yx = 1.0\neps_yy = 3.0\nmu = 1.0",
+        f"table = {table}")
+    cfg = write(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+    assert "Traceback" not in err
     assert not out.exists()

@@ -92,6 +92,32 @@ def test_material_map_from_table():
         MaterialMap.from_table(1, rows)
 
 
+@pytest.mark.parametrize("rows, match", [
+    ([(0, 1.0, 0.0, 0.0, 1.0)] * 2, "6 columns"),
+    ([(0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0)] * 2, "6 columns"),
+    ([(0.5, 1.0, 0.0, 0.0, 1.0, 1.0), (1, 1.0, 0.0, 0.0, 1.0, 1.0)], "not an integer"),
+    ([(np.nan, 1.0, 0.0, 0.0, 1.0, 1.0), (1, 1.0, 0.0, 0.0, 1.0, 1.0)],
+     "not an integer"),
+    ([(0, 1.0, 0.0, 0.0, 1.0, 1.0), (0, 2.0, 0.0, 0.0, 2.0, 1.0)], "given twice"),
+    ([(0, 1.0, 0.0, 0.0, 1.0, 1.0), (1, 1.0, 0.0, 0.0, 1.0, np.nan)], "finite"),
+])
+def test_material_table_rows_are_validated(rows, match):
+    with pytest.raises(MaterialError, match=match):
+        MaterialMap.from_table(2, rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_material_map_refuses_non_finite_values(bad):
+    eps = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
+    mu = np.ones(2)
+    eps_bad = eps.copy()
+    eps_bad[1, 0, 0] = bad
+    with pytest.raises(MaterialError, match="finite"):
+        MaterialMap(eps_bad, mu)
+    with pytest.raises(MaterialError, match="finite"):
+        MaterialMap(eps, np.array([1.0, bad]))
+
+
 def test_face_impedances_homogeneous_identity():
     mesh = structured_square_mesh(2)
     mats = MaterialMap.uniform(mesh.n_elements, PermittivityTensor.isotropic(1.0), 1.0)
