@@ -67,8 +67,7 @@ from .stability import (
     calibrate_c_inv,
     calibrate_c_tau,
     spectral_dt,
-    stability_bound_2d,
-    stability_bound_3d,
+    stability_bound,
     theoretical_bound,
     trace_constant_exact,
 )

@@ -31,7 +31,7 @@ from .leapfrog import (
     write_energy_csv,
 )
 from .materials import face_impedances
-from .stability import spectral_dt, stability_bound_3d, theoretical_bound
+from .stability import spectral_dt, stability_bound, theoretical_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,28 +130,29 @@ def _write_fields(path, op, state) -> None:
 
 
 def _cmd_bound(args) -> int:
+    if args.h_min_3d is not None and not args.three_d:
+        raise ConfigError("--h-min-3d is used only with --three-d")
     cfg = parse_config(args.config)
     mesh = cfg.build_mesh()
     materials = cfg.build_materials(mesh)
     bound = theoretical_bound(mesh, materials, cfg.order, cfg.alpha, cfg.bc)
-    print(f"2D bound for order {cfg.order}, alpha {cfg.alpha}, bc {cfg.bc}, "
-          f"h_min {mesh.h_min!r}:")
-    print(bound.report())
-
-    rows = [("dim", *(f.name for f in dataclasses.fields(bound))),
-            ("2", *map(repr, dataclasses.astuple(bound)))]
-
+    # every bound is evaluated, and so checked, before anything is printed
+    bounds = [("2", f"2D bound for order {cfg.order}, alpha {cfg.alpha}, "
+                    f"bc {cfg.bc}, h_min {mesh.h_min!r}:", bound)]
     if args.three_d:
         imp = face_impedances(materials, mesh)
         h3 = args.h_min_3d if args.h_min_3d is not None else mesh.h_min
-        bound3 = stability_bound_3d(
-            cfg.order, h3, materials.eps_lower, materials.mu_lower,
+        bounds.append(("3", f"\n3D bound (h_min {h3!r}):", stability_bound(
+            3, cfg.order, h3, materials.eps_lower, materials.mu_lower,
             imp.z_min, imp.y_min, cfg.alpha, cfg.bc,
             bound.c_inv, bound.c_tau,
-        )
-        print(f"\n3D bound (h_min {h3!r}):")
-        print(bound3.report())
-        rows.append(("3", *map(repr, dataclasses.astuple(bound3))))
+        )))
+
+    rows = [("dim", *(f.name for f in dataclasses.fields(bound)))]
+    for dim, title, evaluated in bounds:
+        print(title)
+        print(evaluated.report())
+        rows.append((dim, *map(repr, dataclasses.astuple(evaluated))))
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "bound.csv"), "w",

@@ -293,9 +293,13 @@ def parse_config(path) -> SimulationConfig:
         cfg.custom_hz = reader.get("initial", "hz", required=True)
 
     cfg.energy_every = reader.get_int("output", "energy_every", cfg.energy_every)
+    if cfg.energy_every < 1:
+        raise ConfigError(f"{path}: [output] energy_every must be >= 1")
     cfg.fields_out = reader.get_bool("output", "fields", cfg.fields_out)
     cfg.blowup_factor = reader.get_float("output", "blowup_factor",
                                          cfg.blowup_factor)
+    if not cfg.blowup_factor > 1.0:
+        raise ConfigError(f"{path}: [output] blowup_factor must be > 1")
     reader.reject_unread()
     cfg.effective_text = reader.effective_text()
     return cfg

@@ -79,29 +79,25 @@ def _warp_factor(order: int, r: np.ndarray) -> np.ndarray:
     lgl = gauss_lobatto_nodes(order)
     req = np.linspace(-1.0, 1.0, order + 1)
     veq = vandermonde_1d(order, req)
-    pmat = np.stack(
-        [jacobi_polynomial(r, 0.0, 0.0, j) for j in range(order + 1)], axis=0
-    )
-    lagrange_at_r = np.linalg.solve(veq.T, pmat)  # (order+1, len(r))
+    # (order+1, len(r))
+    lagrange_at_r = np.linalg.solve(veq.T, vandermonde_1d(order, r).T)
     warp = lagrange_at_r.T @ (lgl - req)
     interior = np.abs(r) < 1.0 - 1e-10
     scale = 1.0 - np.where(interior, r, 0.0) ** 2
     return np.where(interior, warp / scale, 0.0)
 
 
+def _modes(order: int) -> list[tuple[int, int]]:
+    """The (i, j) index pairs of the order-N modal basis, in the one order
+    shared by the nodes and the Vandermonde columns."""
+    return [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+
+
 def equilateral_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Warp-and-blend interpolation nodes on the equilateral triangle."""
     blend_alpha = _BLEND_ALPHA[order - 1] if order <= 15 else 5.0 / 3.0
 
-    n_p = (order + 1) * (order + 2) // 2
-    l1 = np.empty(n_p)
-    l3 = np.empty(n_p)
-    idx = 0
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            l1[idx] = i / order
-            l3[idx] = j / order
-            idx += 1
+    l1, l3 = np.array(_modes(order)).T / order
     l2 = 1.0 - l1 - l3
 
     x = -l2 + l3
@@ -172,14 +168,7 @@ def vandermonde_2d(order: int, r, s) -> np.ndarray:
     r = np.atleast_1d(np.asarray(r, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     a, b = collapsed_coords(r, s)
-    n_p = (order + 1) * (order + 2) // 2
-    v = np.empty((len(r), n_p))
-    col = 0
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            v[:, col] = simplex_basis(a, b, i, j)
-            col += 1
-    return v
+    return np.stack([simplex_basis(a, b, i, j) for i, j in _modes(order)], axis=1)
 
 
 def grad_vandermonde_2d(order: int, r, s) -> tuple[np.ndarray, np.ndarray]:
@@ -187,15 +176,8 @@ def grad_vandermonde_2d(order: int, r, s) -> tuple[np.ndarray, np.ndarray]:
     r = np.atleast_1d(np.asarray(r, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     a, b = collapsed_coords(r, s)
-    n_p = (order + 1) * (order + 2) // 2
-    vr = np.empty((len(r), n_p))
-    vs = np.empty((len(r), n_p))
-    col = 0
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            vr[:, col], vs[:, col] = grad_simplex_basis(a, b, i, j)
-            col += 1
-    return vr, vs
+    vr, vs = zip(*(grad_simplex_basis(a, b, i, j) for i, j in _modes(order)))
+    return np.stack(vr, axis=1), np.stack(vs, axis=1)
 
 
 @dataclass(frozen=True)
@@ -228,15 +210,17 @@ class ReferenceElement:
         return self.order + 1
 
 
-def _face_node_indices(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    f0 = np.flatnonzero(np.abs(s + 1.0) < NODE_TOL)
-    f1 = np.flatnonzero(np.abs(r + s) < NODE_TOL)
-    f2 = np.flatnonzero(np.abs(r + 1.0) < NODE_TOL)
-    # order each edge from its first vertex toward its second
-    f0 = f0[np.argsort(r[f0])]
-    f1 = f1[np.argsort(s[f1])]
-    f2 = f2[np.argsort(-s[f2])]
-    return np.stack([f0, f1, f2])
+def _face_nodes(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Volume-node indices of each edge, ordered from its first vertex
+    toward its second, and the coordinate along the edge at those nodes."""
+    edges = ((s + 1.0, r), (r + s, s), (r + 1.0, -s))  # (distance, coordinate)
+    nodes, coords = [], []
+    for dist, along in edges:
+        f = np.flatnonzero(np.abs(dist) < NODE_TOL)
+        f = f[np.argsort(along[f])]
+        nodes.append(f)
+        coords.append(along[f])
+    return np.stack(nodes), np.stack(coords)
 
 
 _cache: dict[int, ReferenceElement] = {}
@@ -269,16 +253,11 @@ def build_reference_element(order: int) -> ReferenceElement:
     diff_r = vr @ inv_v
     diff_s = vs @ inv_v
 
-    face_nodes = _face_node_indices(r, s)
+    face_nodes, face_params = _face_nodes(r, s)
     n_fp = order + 1
 
-    # 1D parametrization of each edge; all three carry the same symmetric
-    # Gauss-Lobatto distribution, so a single edge mass matrix serves.
-    face_params = np.stack([
-        r[face_nodes[0]],
-        s[face_nodes[1]],
-        -s[face_nodes[2]],
-    ])
+    # All three edges carry the same symmetric Gauss-Lobatto distribution,
+    # so a single edge mass matrix serves.
     v1 = vandermonde_1d(order, face_params[0])
     face_mass = np.linalg.inv(v1 @ v1.T)
 

@@ -1,16 +1,19 @@
 """Theoretical time-step bounds and the polynomial-inequality constants.
 
-The sufficient stability condition evaluated here reads
+`stability_bound(dim, ...)` evaluates the sufficient stability condition
 
-    dt < min(eps_lower, mu_lower) / max(C_E, C_H) * h_min,
+    dt < min(eps_lower, mu_lower) / max(C_E, C_H) * h_min
 
-where C_E and C_H combine an inverse-inequality constant C_inv, a
-shape-regularity trace constant C_tau, the polynomial order, the flux
-dissipation parameter alpha and boundary-condition weights (beta1,
-beta2, beta3). Neither C_inv nor C_tau has a universal closed form;
-both are calibrated computationally (C_tau from the mesh geometry,
-C_inv from a generalized eigenvalue problem on the reference triangle)
-so the bound is a concrete number rather than an order statement.
+in its 2D and 3D forms. C_E and C_H combine an inverse-inequality
+constant C_inv, a shape-regularity trace constant C_tau, the polynomial
+order, the flux dissipation parameter alpha and boundary-condition
+weights (beta1, beta2, beta3). The two forms differ only in the trace
+factor (N+1)(N+dim) and in the bracketed weights of C_E and C_H, which
+sit in one table per dimension. Neither C_inv nor C_tau has a universal
+closed form; both are calibrated computationally (C_tau from the mesh
+geometry, C_inv from a generalized eigenvalue problem on the reference
+triangle) so the bound is a concrete number rather than an order
+statement.
 
 `spectral_dt` is the second, sharp estimate: the leap-frog limit of the
 central part of the discrete operator, found matrix-free by symmetric
@@ -65,20 +68,30 @@ class StabilityConstants:
         return "\n".join(lines)
 
 
+# The two bracketed trace-term weights of C_E and C_H per dimension, as
+# functions of (alpha, beta1, beta2, beta3, z_min, y_min); both multiply
+# C_tau^2 (N+1)(N+dim).
+_TRACE_BRACKETS = {
+    2: (lambda a, b1, b2, b3, z, y: 2.0 + b2 + (2.0 * a + b1) / (2.0 * z),
+        lambda a, b1, b2, b3, z, y: 2.0 + b2 + (a + b2 * b3) / y),
+    3: (lambda a, b1, b2, b3, z, y: 3.0 + b2 / 2.0 + (a + b1) / (2.0 * z),
+        lambda a, b1, b2, b3, z, y: 3.0 + b2 / 2.0 + (a + b3) / (2.0 * y)),
+}
+
+
+def _check_dim(dim: int) -> None:
+    if dim not in _TRACE_BRACKETS:
+        raise DomainError(f"dim must be 2 or 3, got {dim}")
+
+
 def trace_constant_exact(order: int, face_measure: float, cell_measure: float,
                          dim: int = 2) -> float:
-    """Exact constant of the polynomial trace inequality on a simplex.
-
-    2D: sqrt((N+1)(N+2)/2 * |f|/|T|); 3D: sqrt((N+1)(N+3)/3 * |f|/|T|).
-    """
+    """Exact constant of the polynomial trace inequality on a simplex:
+    sqrt((N+1)(N+dim)/dim * |f|/|T|)."""
     if face_measure <= 0.0 or cell_measure <= 0.0:
         raise DomainError("face and cell measures must be positive")
-    if dim == 2:
-        factor = (order + 1) * (order + 2) / 2.0
-    elif dim == 3:
-        factor = (order + 1) * (order + 3) / 3.0
-    else:
-        raise DomainError(f"dim must be 2 or 3, got {dim}")
+    _check_dim(dim)
+    factor = (order + 1) * (order + dim) / dim
     return math.sqrt(factor * face_measure / cell_measure)
 
 
@@ -128,42 +141,26 @@ def beta_params(bc: str, alpha: float = 0.0) -> tuple[float, float, float]:
 
 def _check_positive(**values):
     for name, value in values.items():
-        if value <= 0.0:
-            raise DomainError(f"{name} must be positive, got {value}")
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
-def stability_bound_2d(order: int, h_min: float, eps_lower: float,
-                       mu_lower: float, z_min: float, y_min: float,
-                       alpha: float, bc: str, c_inv: float,
-                       c_tau: float) -> StabilityConstants:
-    """Evaluate the 2D sufficient time-step bound."""
+def stability_bound(dim: int, order: int, h_min: float, eps_lower: float,
+                    mu_lower: float, z_min: float, y_min: float, alpha: float,
+                    bc: str, c_inv: float, c_tau: float) -> StabilityConstants:
+    """Evaluate the sufficient time-step bound in dim = 2 or 3 dimensions
+    (the 3D form is a formula only; there is no 3D solver)."""
+    _check_dim(dim)
     _check_positive(h_min=h_min, eps_lower=eps_lower, mu_lower=mu_lower,
                     z_min=z_min, y_min=y_min, c_inv=c_inv, c_tau=c_tau)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     b1, b2, b3 = beta_params(bc, alpha)
-    poly = (order + 1) * (order + 2)
+    bracket_e, bracket_h = _TRACE_BRACKETS[dim]
+    poly = (order + 1) * (order + dim)
     base = 0.5 * c_inv * order**2
-    c_e = base + c_tau**2 * poly * (2.0 + b2 + (2.0 * alpha + b1) / (2.0 * z_min))
-    c_h = base + c_tau**2 * poly * (2.0 + b2 + (alpha + b2 * b3) / y_min)
-    dt_bound = min(eps_lower, mu_lower) * h_min / max(c_e, c_h)
-    return StabilityConstants(c_inv, c_tau, b1, b2, b3, c_e, c_h, dt_bound)
-
-
-def stability_bound_3d(order: int, h_min: float, eps_lower: float,
-                       mu_lower: float, z_min: float, y_min: float,
-                       alpha: float, bc: str, c_inv: float,
-                       c_tau: float) -> StabilityConstants:
-    """Evaluate the 3D sufficient time-step bound (formula only; no 3D solver)."""
-    _check_positive(h_min=h_min, eps_lower=eps_lower, mu_lower=mu_lower,
-                    z_min=z_min, y_min=y_min, c_inv=c_inv, c_tau=c_tau)
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    b1, b2, b3 = beta_params(bc, alpha)
-    poly = (order + 1) * (order + 3)
-    base = 0.5 * c_inv * order**2
-    c_e = base + c_tau**2 * poly * (3.0 + b2 / 2.0 + (alpha + b1) / (2.0 * z_min))
-    c_h = base + c_tau**2 * poly * (3.0 + b2 / 2.0 + (alpha + b3) / (2.0 * y_min))
+    c_e = base + c_tau**2 * poly * bracket_e(alpha, b1, b2, b3, z_min, y_min)
+    c_h = base + c_tau**2 * poly * bracket_h(alpha, b1, b2, b3, z_min, y_min)
     dt_bound = min(eps_lower, mu_lower) * h_min / max(c_e, c_h)
     return StabilityConstants(c_inv, c_tau, b1, b2, b3, c_e, c_h, dt_bound)
 
@@ -173,8 +170,8 @@ def theoretical_bound(mesh: Mesh2D, materials: MaterialMap, order: int,
     """Calibrate the constants for a concrete mesh/material pair and
     evaluate the 2D bound."""
     imp = face_impedances(materials, mesh)
-    return stability_bound_2d(
-        order, mesh.h_min, materials.eps_lower, materials.mu_lower,
+    return stability_bound(
+        2, order, mesh.h_min, materials.eps_lower, materials.mu_lower,
         imp.z_min, imp.y_min, alpha, bc, calibrate_c_inv(order),
         calibrate_c_tau(mesh),
     )

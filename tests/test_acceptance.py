@@ -6,6 +6,7 @@ frozen reference values within reconstruction tolerances; the
 property criteria check the solver against independent oracles.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -436,3 +437,34 @@ def test_criterion_9_spectral_second_method(sweep, central_spectral):
     print(f"ACCEPTANCE 9: PASS - every PEC/central dt_max sits at or above the "
           f"spectral leap-frog limit, gap over cells {'/'.join(map(str, CELLS))} "
           f"not growing ({'; '.join(summary)})")
+
+
+def test_criterion_10_threshold_dependence(sweep):
+    # How far dt_max moves when the verdict threshold moves from 2x to 20x
+    # the initial energy. A larger threshold can only admit a larger dt, so
+    # dt_max(20) >= dt_max(2) up to the search tol; the spread shrinks under
+    # refinement, as T = 1 gives a slow instability more steps to grow.
+    tol = 1e-3
+    lines = []
+    for (bc, alpha) in REFERENCE_C:
+        for order in ORDERS:
+            spreads = []
+            for cells in CELLS:
+                case = sweep[(bc, alpha, cells, order)]["case"]
+                low, high = (
+                    find_dtmax(dataclasses.replace(case, bounded_factor=factor),
+                               tol=tol).dt_max
+                    for factor in (2.0, 20.0))
+                assert high * (1.0 + tol) >= low, (
+                    f"{bc} alpha={alpha} cells={cells} N={order}: dt_max {high:.6g} "
+                    f"at 20x below {low:.6g} at 2x")
+                spreads.append(high / low - 1.0)
+            for coarse, fine in zip(spreads, spreads[1:]):
+                assert fine < coarse, (
+                    f"{bc} alpha={alpha} N={order}: spread did not shrink under "
+                    f"refinement ({', '.join(f'{100 * s:.2f}%' for s in spreads)})")
+            lines.append(f"  {bc} alpha={alpha} N={order}: cells "
+                         f"{'/'.join(map(str, CELLS))} spread "
+                         + "/".join(f"{100 * s:.2f}" for s in spreads) + "%")
+    print("ACCEPTANCE 10: PASS - dt_max(20x)/dt_max(2x) - 1 on all 24 rows "
+          f"(tol {tol:g}), shrinking down every column:\n" + "\n".join(lines))

@@ -455,6 +455,9 @@ BAD_SIMULATION_VALUES = {
     "eps_xx-nan": ("eps_xx = 5.0", "eps_xx = nan"),
     "mu-nan": ("mu = 1.0", "mu = nan"),
     "mu-inf": ("mu = 1.0", "mu = inf"),
+    "energy_every0": ("name = pec_cosine", "name = pec_cosine\n[output]\nenergy_every = 0"),
+    "blowup_factor1": ("name = pec_cosine",
+                       "name = pec_cosine\n[output]\nblowup_factor = 1.0"),
 }
 
 
@@ -465,9 +468,17 @@ BAD_SIMULATION_VALUES = {
 ] + [
     pytest.param("simulate", PEC_CONFIG.replace("safety = 0.5", "safety = 0"), [],
                  id="simulate-safety0"),
-    pytest.param("simulate", PEC_CONFIG + "\n[output]\nblowup_factor = 1.0\n", [],
-                 id="simulate-blowup_factor1"),
     pytest.param("dtmax-sweep", PEC_CONFIG, ["--tol", "0.5"], id="dtmax-sweep-tol-flag"),
+    pytest.param("dtmax-sweep", PEC_CONFIG.replace(*BAD_SIMULATION_VALUES["energy_every0"]),
+                 [], id="dtmax-sweep-energy_every0"),
+    pytest.param("bound", PEC_CONFIG, ["--three-d", "--h-min-3d", "nan"],
+                 id="bound-h-min-3d-nan"),
+    pytest.param("bound", PEC_CONFIG, ["--three-d", "--h-min-3d", "inf"],
+                 id="bound-h-min-3d-inf"),
+    pytest.param("bound", PEC_CONFIG, ["--three-d", "--h-min-3d", "-1"],
+                 id="bound-h-min-3d-negative"),
+    pytest.param("bound", PEC_CONFIG, ["--h-min-3d", "0.25"],
+                 id="bound-h-min-3d-without-three-d"),
     pytest.param("table", TABLE_SPEC, ["--tol", "0.5"], id="table-tol-flag"),
     pytest.param("table", TABLE_SPEC.replace("tol = 0.05", "tol = 0.5"), [],
                  id="table-tol-key"),
@@ -493,8 +504,7 @@ def test_bad_values_exit_2_and_write_nothing(tmp_path, capsys, command, text, fl
     assert main([command, "--config", cfg, "--out", str(out)] + flags) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
-    if command == "table":
-        assert captured.out == ""  # refused before any row runs
+    assert captured.out == ""  # refused before any row, report or auto dt
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,7 @@ from dgtd import (
     face_impedances,
     mesh_from_arrays,
     spectral_dt,
-    stability_bound_2d,
-    stability_bound_3d,
+    stability_bound,
     structured_square_mesh,
     theoretical_bound,
     trace_constant_exact,
@@ -169,19 +169,17 @@ def test_beta_params_table():
 def test_bound_monotone_in_alpha():
     common = dict(order=1, h_min=0.5, eps_lower=1.0, mu_lower=1.0,
                   z_min=0.5, y_min=1.5, bc="PEC", c_inv=9.0, c_tau=2.2)
-    b0 = stability_bound_2d(alpha=0.0, **common)
-    b1 = stability_bound_2d(alpha=1.0, **common)
-    assert b0.dt_bound > b1.dt_bound
-    b0 = stability_bound_3d(alpha=0.0, **common)
-    b1 = stability_bound_3d(alpha=1.0, **common)
-    assert b0.dt_bound > b1.dt_bound
+    for dim in (2, 3):
+        b0 = stability_bound(dim, alpha=0.0, **common)
+        b1 = stability_bound(dim, alpha=1.0, **common)
+        assert b0.dt_bound > b1.dt_bound
 
 
 def test_bound_linear_in_h_min():
     common = dict(order=2, eps_lower=1.2, mu_lower=1.0, z_min=0.5,
                   y_min=1.5, alpha=0.3, bc="SM", c_inv=9.0, c_tau=2.2)
-    full = stability_bound_2d(h_min=0.4, **common)
-    half = stability_bound_2d(h_min=0.2, **common)
+    full = stability_bound(2, h_min=0.4, **common)
+    half = stability_bound(2, h_min=0.2, **common)
     assert half.dt_bound == pytest.approx(0.5 * full.dt_bound, rel=1e-14)
 
 
@@ -190,8 +188,8 @@ def test_bound_3d_polynomial_factor():
     # bc/impedance weights change per the 3D formula
     order = 3
     base = 0.5 * 9.0 * order**2
-    b2 = stability_bound_2d(order, 0.5, 1.0, 1.0, 1.0, 1.0, 0.0, "PEC", 9.0, 2.0)
-    b3 = stability_bound_3d(order, 0.5, 1.0, 1.0, 1.0, 1.0, 0.0, "PEC", 9.0, 2.0)
+    b2 = stability_bound(2, order, 0.5, 1.0, 1.0, 1.0, 1.0, 0.0, "PEC", 9.0, 2.0)
+    b3 = stability_bound(3, order, 0.5, 1.0, 1.0, 1.0, 1.0, 0.0, "PEC", 9.0, 2.0)
     trace2 = (b2.c_e - base) / ((order + 1) * (order + 2))
     trace3 = (b3.c_e - base) / ((order + 1) * (order + 3))
     assert trace2 == pytest.approx(4.0 * 2.0, rel=1e-13)       # 2 + beta2
@@ -213,27 +211,62 @@ def test_bound_monotonicity_random_draws():
             c_inv=float(rng.uniform(2.0, 10.0)),
             c_tau=float(rng.uniform(1.0, 3.0)),
         )
-        base = stability_bound_2d(**args).dt_bound
+        base = stability_bound(2, **args).dt_bound
 
         up = dict(args, alpha=min(1.0, args["alpha"] + 0.2))
-        assert stability_bound_2d(**up).dt_bound <= base + 1e-15
+        assert stability_bound(2, **up).dt_bound <= base + 1e-15
         up = dict(args, order=args["order"] + 1)
-        assert stability_bound_2d(**up).dt_bound <= base + 1e-15
+        assert stability_bound(2, **up).dt_bound <= base + 1e-15
         up = dict(args, c_inv=args["c_inv"] * 1.5)
-        assert stability_bound_2d(**up).dt_bound <= base + 1e-15
+        assert stability_bound(2, **up).dt_bound <= base + 1e-15
         up = dict(args, h_min=args["h_min"] * 1.5)
-        assert stability_bound_2d(**up).dt_bound >= base - 1e-15
+        assert stability_bound(2, **up).dt_bound >= base - 1e-15
         up = dict(args, eps_lower=args["eps_lower"] * 1.5)
-        assert stability_bound_2d(**up).dt_bound >= base - 1e-15
+        assert stability_bound(2, **up).dt_bound >= base - 1e-15
         up = dict(args, mu_lower=args["mu_lower"] * 1.5)
-        assert stability_bound_2d(**up).dt_bound >= base - 1e-15
+        assert stability_bound(2, **up).dt_bound >= base - 1e-15
 
 
 def test_bound_rejects_bad_inputs():
     with pytest.raises(DomainError):
-        stability_bound_2d(1, -0.5, 1.0, 1.0, 1.0, 1.0, 0.0, "PEC", 9.0, 2.2)
+        stability_bound(2, 1, -0.5, 1.0, 1.0, 1.0, 1.0, 0.0, "PEC", 9.0, 2.2)
     with pytest.raises(DomainError):
-        stability_bound_2d(1, 0.5, 1.0, 1.0, 1.0, 1.0, 1.5, "PEC", 9.0, 2.2)
+        stability_bound(2, 1, 0.5, 1.0, 1.0, 1.0, 1.0, 1.5, "PEC", 9.0, 2.2)
+    for dim in (2, 3):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="positive and finite"):
+                stability_bound(dim, 1, bad, 1.0, 1.0, 1.0, 1.0, 0.0, "PEC", 9.0, 2.2)
+    with pytest.raises(DomainError, match="dim must be 2 or 3"):
+        stability_bound(4, 1, 0.5, 1.0, 1.0, 1.0, 1.0, 0.0, "PEC", 9.0, 2.2)
+
+
+def _paper_bound(dim, order, h_min, eps_lower, mu_lower, z_min, y_min, alpha,
+                 bc, c_inv, c_tau):
+    """(C_E, C_H, dt_bound) written out from the paper's 2D and 3D forms."""
+    b1, b2, b3 = {"PEC": (alpha, 0.0, 0.0), "PMC": (0.0, 1.0, alpha),
+                  "SM": (0.5, 0.5, 1.0)}[bc]
+    base = 0.5 * c_inv * order**2
+    if dim == 2:
+        trace = c_tau**2 * (order + 1) * (order + 2)
+        c_e = base + trace * (2 + b2 + (2 * alpha + b1) / (2 * z_min))
+        c_h = base + trace * (2 + b2 + (alpha + b2 * b3) / y_min)
+    else:
+        trace = c_tau**2 * (order + 1) * (order + 3)
+        c_e = base + trace * (3 + b2 / 2 + (alpha + b1) / (2 * z_min))
+        c_h = base + trace * (3 + b2 / 2 + (alpha + b3) / (2 * y_min))
+    return c_e, c_h, min(eps_lower, mu_lower) * h_min / max(c_e, c_h)
+
+
+@pytest.mark.parametrize("dim, bc, alpha, order", list(itertools.product(
+    (2, 3), ("PEC", "PMC", "SM"), (0.0, 0.5, 1.0), (1, 3))))
+def test_bound_matches_the_paper(dim, bc, alpha, order):
+    # distinct inputs, so that a swapped bracket, beta or impedance shows
+    args = (order, 0.37, 1.3, 0.9, 0.46, 1.67, alpha, bc, 8.9, 2.2)
+    got = stability_bound(dim, *args)
+    c_e, c_h, dt_bound = _paper_bound(dim, *args)
+    assert got.c_e == pytest.approx(c_e, rel=1e-14)
+    assert got.c_h == pytest.approx(c_h, rel=1e-14)
+    assert got.dt_bound == pytest.approx(dt_bound, rel=1e-14)
 
 
 def test_pinned_regression_values():
@@ -248,9 +281,9 @@ def test_pinned_regression_values():
     assert imp.y_min == pytest.approx(1.673320053068151, abs=1e-12)
     bound = theoretical_bound(mesh, mats, 1, 0.0, "PEC")
     assert bound.dt_bound == pytest.approx(0.009063545339394036, rel=1e-9)
-    bound3 = stability_bound_3d(1, mesh.h_min, mats.eps_lower, mats.mu_lower,
-                                imp.z_min, imp.y_min, 0.0, "PEC",
-                                bound.c_inv, bound.c_tau)
+    bound3 = stability_bound(3, 1, mesh.h_min, mats.eps_lower, mats.mu_lower,
+                             imp.z_min, imp.y_min, 0.0, "PEC",
+                             bound.c_inv, bound.c_tau)
     assert bound3.dt_bound == pytest.approx(0.004700164566409848, rel=1e-9)
 
 
