@@ -13,8 +13,7 @@ import sys
 import traceback
 
 from .config import parse_config, parse_table_spec
-from .errors import (ConfigError, DgtdError, DomainError, InvalidOrderError,
-                     MaterialError, MeshError)
+from .errors import ConfigError, DgtdError, DomainError, MaterialError, MeshError
 from .experiments import (
     StabilityCase,
     cfl_constant,
@@ -25,7 +24,6 @@ from .experiments import (
 )
 from .leapfrog import (
     RunConfig,
-    STATUS_COMPLETED,
     initial_conditions,
     run,
     write_energy_csv,
@@ -109,7 +107,7 @@ def _cmd_simulate(args) -> int:
     if cfg.fields_out:
         _write_fields(os.path.join(args.out, "fields.csv"), case.op, result.state)
 
-    if result.status != STATUS_COMPLETED:
+    if not result.completed:
         print(f"blowup at step {result.blowup_step} "
               f"(t = {result.blowup_step * dt!r})", file=sys.stderr)
         return EXIT_BLOWUP
@@ -205,8 +203,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, DomainError, InvalidOrderError, MeshError,
-            MaterialError) as exc:
+    except (ConfigError, DomainError, MeshError, MaterialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DgtdError as exc:

@@ -38,9 +38,13 @@ A simulation config looks like::
 A mesh file replaces `kind = structured` with `kind = file` plus
 `path = mesh.txt`; a per-element material table replaces the tensor
 entries and `mu` with `table = materials.txt` (rows: k exx exy eyx eyy mu).
-Table sweeps use a `[sweep]` section instead of `[time]`/`[initial]`. A key
-left out takes its default from `SimulationConfig` or `SweepSpec`; every
-number given must be finite.
+A key left out takes its default from `SimulationConfig`; every number
+given must be finite.
+
+A table sweep file holds only a `[sweep]` section with `cells`, `orders`,
+`flux` (central or upwind) or `alpha`, `bc` and `tol`. Each of its rows is
+`experiments.benchmark_case`, so it sets no material, final time or
+energy threshold.
 """
 
 from __future__ import annotations
@@ -234,20 +238,6 @@ def _require_file(path, what: str, config_path):
         raise ConfigError(f"{config_path}: {what} file not found: {path}")
 
 
-def _read_material(reader: _Reader, cfg: SimulationConfig):
-    cfg.material_table = reader.get("material", "table")
-    if cfg.material_table is not None:
-        _require_file(cfg.material_table, "material table", reader.path)
-    else:
-        cfg.eps = PermittivityTensor(
-            reader.get_float("material", "eps_xx", cfg.eps.xx),
-            reader.get_float("material", "eps_xy", cfg.eps.xy),
-            reader.get_float("material", "eps_yx", cfg.eps.yx),
-            reader.get_float("material", "eps_yy", cfg.eps.yy),
-        )
-        cfg.mu = reader.get_float("material", "mu", cfg.mu)
-
-
 def parse_config(path) -> SimulationConfig:
     """Parse and validate a simulation config file; sections and keys the
     parse does not read are errors, not silently ignored."""
@@ -269,7 +259,17 @@ def parse_config(path) -> SimulationConfig:
     else:
         raise ConfigError(f"{path}: unknown mesh kind {cfg.mesh_kind!r}")
 
-    _read_material(reader, cfg)
+    cfg.material_table = reader.get("material", "table")
+    if cfg.material_table is not None:
+        _require_file(cfg.material_table, "material table", path)
+    else:
+        cfg.eps = PermittivityTensor(
+            reader.get_float("material", "eps_xx", cfg.eps.xx),
+            reader.get_float("material", "eps_xy", cfg.eps.xy),
+            reader.get_float("material", "eps_yx", cfg.eps.yx),
+            reader.get_float("material", "eps_yy", cfg.eps.yy),
+        )
+        cfg.mu = reader.get_float("material", "mu", cfg.mu)
 
     cfg.order = reader.get_int("discretization", "order", cfg.order)
     cfg.alpha = reader.get_float("discretization", "alpha", cfg.alpha)
@@ -325,16 +325,8 @@ def parse_table_spec(path) -> SweepSpec:
         fields["alpha"] = 0.0 if flux == "central" else 1.0
     else:
         fields["alpha"] = reader.get_float("sweep", "alpha", 0.0)
-    for key in ("tol", "final_time", "bounded_factor"):
-        value = reader.get_float("sweep", key)
-        if value is not None:
-            fields[key] = value
-
-    if reader.has("material"):
-        cfg = SimulationConfig()
-        _read_material(reader, cfg)
-        if cfg.material_table is not None:
-            raise ConfigError(f"{path}: sweeps require a constant tensor")
-        fields.update(eps=cfg.eps, mu=cfg.mu)
+    tol = reader.get_float("sweep", "tol")
+    if tol is not None:
+        fields["tol"] = tol
     reader.reject_unread()
     return SweepSpec(**fields)

@@ -5,12 +5,12 @@ class DgtdError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidOrderError(DgtdError, ValueError):
-    """Polynomial order outside the supported range."""
-
-
 class DomainError(DgtdError, ValueError):
     """A point or parameter lies outside its valid domain."""
+
+
+class InvalidOrderError(DomainError):
+    """Polynomial order outside the supported range."""
 
 
 class MeshError(DgtdError, ValueError):

@@ -11,6 +11,11 @@ not exceed a loose Lanczos estimate of the spectral leap-frog limit of
 the operator's central part, and then bisected to a relative
 tolerance. A search runs only its bracketing and bisection steps; the
 theoretical bound is classified where it is checked, in the tests.
+
+A table row is `find_dtmax(benchmark_case(cells, order, alpha, bc), tol)`:
+every row shares the tables' tensor BENCHMARK_EPS, mu = 1, final time 1
+and DEFAULT_BOUNDED_FACTOR, and a `SweepSpec` sets only the grid, the
+flux, the boundary condition and the tolerance.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .leapfrog import (
 )
 from .materials import MaterialMap, PermittivityTensor
 from .mesh import Mesh2D, structured_square_mesh
-from .reference_element import MAX_ORDER, build_reference_element
+from .reference_element import build_reference_element, check_order
 from .stability import StabilityConstants, spectral_dt, theoretical_bound
 
 DT_CAP = 10.0
@@ -183,8 +188,8 @@ def cfl_constant(dt_max: float, order: int, h_min: float) -> float:
 
 @dataclass
 class SweepSpec:
-    """Grid of (mesh refinement, order) cases sharing flux and materials;
-    a bad tol, cells or orders entry, final_time or bounded_factor raises
+    """Grid of (mesh refinement, order) benchmark cases sharing one flux
+    and boundary condition; a bad tol, cells or orders entry raises
     DomainError, and a bad alpha or bc ConfigError, before any case runs."""
 
     cells: list[int]
@@ -192,10 +197,6 @@ class SweepSpec:
     alpha: float
     bc: str
     tol: float = 1e-2
-    final_time: float = 1.0
-    eps: PermittivityTensor = BENCHMARK_EPS
-    mu: float = 1.0
-    bounded_factor: float = DEFAULT_BOUNDED_FACTOR
 
     def __post_init__(self):
         # FluxParams owns the alpha range and the bc spellings
@@ -203,14 +204,8 @@ class SweepSpec:
         check_tol(self.tol)
         if any(c < 1 for c in self.cells):
             raise DomainError(f"cells entries must be >= 1, got {self.cells}")
-        if any(not 1 <= n <= MAX_ORDER for n in self.orders):
-            raise DomainError(f"orders entries must lie in 1..{MAX_ORDER}, "
-                              f"got {self.orders}")
-        if not 0.0 < self.final_time < math.inf:
-            raise DomainError(f"final_time must be positive and finite, "
-                              f"got {self.final_time}")
-        if not self.bounded_factor > 1.0:
-            raise DomainError(f"bounded_factor must be > 1, got {self.bounded_factor}")
+        for order in self.orders:
+            check_order(order)
 
 
 @dataclass
@@ -236,11 +231,7 @@ def table_filename(bc: str, alpha: float) -> str:
 
 
 def _run_one(spec: SweepSpec, cells: int, order: int) -> SweepRow:
-    mesh = structured_square_mesh(cells)
-    materials = MaterialMap.uniform(mesh.n_elements, spec.eps, spec.mu)
-    case = StabilityCase(mesh, materials, order, spec.alpha, spec.bc,
-                         final_time=spec.final_time,
-                         bounded_factor=spec.bounded_factor)
+    case = benchmark_case(cells, order, spec.alpha, spec.bc)
     row = SweepRow(h_min=case.mesh.h_min, order=order)
     try:
         search = find_dtmax(case, tol=spec.tol)

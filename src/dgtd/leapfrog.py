@@ -19,9 +19,6 @@ from .materials import MaterialMap
 from .mesh import Mesh2D
 from .reference_element import ReferenceElement
 
-STATUS_COMPLETED = "completed"
-STATUS_BLEWUP = "blewup"
-
 DEFAULT_BLOWUP_FACTOR = 1e6
 
 
@@ -131,8 +128,9 @@ class RunConfig:
     blowup_factor: float = DEFAULT_BLOWUP_FACTOR
 
     def __post_init__(self):
-        if self.dt < 0.0 or self.final_time <= 0.0:
-            raise ConfigError("dt must be >= 0 and final_time > 0")
+        if not (0.0 <= self.dt < math.inf and 0.0 < self.final_time < math.inf):
+            raise ConfigError("dt must be finite and >= 0, and final_time "
+                              f"finite and > 0; got {self.dt}, {self.final_time}")
         if self.record_energy_every < 1:
             raise ConfigError("record_energy_every must be >= 1")
         if not self.blowup_factor > 1.0:
@@ -148,12 +146,15 @@ class RunConfig:
 class RunResult:
     state: FieldState
     energy: np.ndarray  # rows of (step, time, energy)
-    status: str
     blowup_step: int | None = None
 
     @property
     def completed(self) -> bool:
-        return self.status == STATUS_COMPLETED
+        return self.blowup_step is None
+
+    @property
+    def status(self) -> str:
+        return "completed" if self.completed else "blewup"
 
     @property
     def final_energy(self) -> float:
@@ -184,13 +185,13 @@ def run(state0: FieldState, op: SpatialOperator, config: RunConfig) -> RunResult
                 state = step(state, op, config.dt)
             except BlowupDetected as blow:
                 trace.append((blow.step, blow.step * config.dt, math.inf))
-                return RunResult(state, np.array(trace), STATUS_BLEWUP, blow.step)
+                return RunResult(state, np.array(trace), blow.step)
             if (m + 1) % every == 0 or m + 1 == n_steps:
                 energy = discrete_energy(state, mesh, materials, elem)
                 trace.append((state.step, state.time_E, energy))
                 if not math.isfinite(energy) or energy > threshold:
-                    return RunResult(state, np.array(trace), STATUS_BLEWUP, state.step)
-    return RunResult(state, np.array(trace), STATUS_COMPLETED)
+                    return RunResult(state, np.array(trace), state.step)
+    return RunResult(state, np.array(trace))
 
 
 def write_energy_csv(path, result: RunResult) -> None:

@@ -33,20 +33,7 @@ class PermittivityTensor:
     yy: float
 
     def __post_init__(self):
-        scale = max(abs(self.xx), abs(self.xy), abs(self.yx), abs(self.yy), 1.0)
-        if abs(self.xy - self.yx) > _SYM_TOL * scale:
-            raise MaterialError(
-                f"permittivity tensor not symmetric: xy={self.xy}, yx={self.yx}"
-            )
-        if self.xx <= 0.0 or self.det <= 0.0:
-            raise MaterialError(
-                "permittivity tensor not positive definite: "
-                f"xx={self.xx}, det={self.det}"
-            )
-
-    @property
-    def det(self) -> float:
-        return self.xx * self.yy - self.xy * self.yx
+        _check_permittivity(self.as_array())
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.xx, self.xy], [self.yx, self.yy]])
@@ -62,21 +49,44 @@ class PermittivityTensor:
         return PermittivityTensor(value, 0.0, 0.0, value)
 
 
+def _check_permittivity(eps: np.ndarray) -> np.ndarray:
+    """det of each 2x2 tensor in eps (shape (..., 2, 2)); MaterialError
+    unless every tensor is finite, symmetric within _SYM_TOL and
+    positive definite."""
+    if not np.isfinite(eps).all():
+        raise MaterialError("permittivity must be finite")
+    scale = np.maximum(np.abs(eps).max(axis=(-2, -1)), 1.0)
+    if np.any(np.abs(eps[..., 0, 1] - eps[..., 1, 0]) > _SYM_TOL * scale):
+        raise MaterialError("permittivity tensor not symmetric")
+    det = eps[..., 0, 0] * eps[..., 1, 1] - eps[..., 0, 1] * eps[..., 1, 0]
+    if np.any(eps[..., 0, 0] <= 0.0) or np.any(det <= 0.0):
+        raise MaterialError("permittivity tensor not positive definite")
+    return det
+
+
+def _check_permeability(mu) -> None:
+    """MaterialError unless every permeability is finite and positive."""
+    mu = np.asarray(mu, dtype=float)
+    if not np.isfinite(mu).all():
+        raise MaterialError("permeability must be finite")
+    if np.any(mu <= 0.0):
+        raise MaterialError("permeability must be positive")
+
+
 def effective_permittivity(eps, n) -> float:
     """det(eps) / (n^T eps n) for a unit normal n."""
     e = _tensor_array(eps)
+    det = float(_check_permittivity(e))
     n = np.asarray(n, dtype=float)
     quad = float(n @ e @ n)
-    det = float(e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0])
-    if quad <= 0.0 or det <= 0.0:
-        raise MaterialError("permittivity tensor not positive definite")
+    if not quad > 0.0:
+        raise MaterialError(f"normal must be nonzero and finite, got {n}")
     return det / quad
 
 
 def wave_speed(eps, mu: float, n) -> float:
     """Directional wave speed sqrt(n^T eps n / (mu det eps))."""
-    if mu <= 0.0:
-        raise MaterialError(f"permeability must be positive, got {mu}")
+    _check_permeability(mu)
     return 1.0 / math.sqrt(mu * effective_permittivity(eps, n))
 
 
@@ -97,16 +107,8 @@ class MaterialMap:
         mu = np.asarray(mu, dtype=float)
         if eps.ndim != 3 or eps.shape[1:] != (2, 2) or mu.shape != (eps.shape[0],):
             raise MaterialError("eps must be (K,2,2) and mu (K,)")
-        if not (np.isfinite(eps).all() and np.isfinite(mu).all()):
-            raise MaterialError("permittivity and permeability must be finite")
-        scale = np.maximum(np.abs(eps).max(axis=(1, 2)), 1.0)
-        if np.any(np.abs(eps[:, 0, 1] - eps[:, 1, 0]) > _SYM_TOL * scale):
-            raise MaterialError("per-element permittivity tensor not symmetric")
-        det = eps[:, 0, 0] * eps[:, 1, 1] - eps[:, 0, 1] * eps[:, 1, 0]
-        if np.any(eps[:, 0, 0] <= 0.0) or np.any(det <= 0.0):
-            raise MaterialError("per-element permittivity not positive definite")
-        if np.any(mu <= 0.0):
-            raise MaterialError("permeability must be positive everywhere")
+        det = _check_permittivity(eps)
+        _check_permeability(mu)
 
         self.eps = eps
         self.mu = mu

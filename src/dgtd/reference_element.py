@@ -226,12 +226,9 @@ def _face_nodes(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _cache: dict[int, ReferenceElement] = {}
 
 
-def build_reference_element(order: int) -> ReferenceElement:
-    """Build all order-N nodal operators on the reference triangle.
-
-    Raises InvalidOrderError for order < 1 or order > MAX_ORDER.
-    Results are cached; the returned object must be treated as read-only.
-    """
+def check_order(order) -> int:
+    """The polynomial order as an int; InvalidOrderError unless it is an
+    integer in 1..MAX_ORDER."""
     if not isinstance(order, (int, np.integer)):
         raise InvalidOrderError(f"order must be an integer, got {order!r}")
     order = int(order)
@@ -239,6 +236,16 @@ def build_reference_element(order: int) -> ReferenceElement:
         raise InvalidOrderError(
             f"order must be between 1 and {MAX_ORDER}, got {order}"
         )
+    return order
+
+
+def build_reference_element(order: int) -> ReferenceElement:
+    """Build all order-N nodal operators on the reference triangle.
+
+    Raises InvalidOrderError for order < 1 or order > MAX_ORDER.
+    Results are cached; the returned object must be treated as read-only.
+    """
+    order = check_order(order)
     if order in _cache:
         return _cache[order]
 

@@ -34,7 +34,7 @@ from .dg_core import BC_PEC, BC_PMC, BC_SM, SpatialOperator, normalize_bc
 from .errors import DomainError
 from .materials import MaterialMap, face_impedances
 from .mesh import Mesh2D
-from .reference_element import build_reference_element
+from .reference_element import build_reference_element, check_order
 
 # diameter of the reference triangle (-1,-1), (1,-1), (-1,1)
 _REF_DIAMETER = 2.0 * math.sqrt(2.0)
@@ -84,12 +84,18 @@ def _check_dim(dim: int) -> None:
         raise DomainError(f"dim must be 2 or 3, got {dim}")
 
 
+def _check_positive(**values):
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
 def trace_constant_exact(order: int, face_measure: float, cell_measure: float,
                          dim: int = 2) -> float:
     """Exact constant of the polynomial trace inequality on a simplex:
     sqrt((N+1)(N+dim)/dim * |f|/|T|)."""
-    if face_measure <= 0.0 or cell_measure <= 0.0:
-        raise DomainError("face and cell measures must be positive")
+    check_order(order)
+    _check_positive(face_measure=face_measure, cell_measure=cell_measure)
     _check_dim(dim)
     factor = (order + 1) * (order + dim) / dim
     return math.sqrt(factor * face_measure / cell_measure)
@@ -124,8 +130,7 @@ def calibrate_c_inv_per_order(order: int) -> float:
 
 def calibrate_c_inv(max_order: int) -> float:
     """Inverse-inequality constant covering all orders up to max_order."""
-    if max_order < 1:
-        raise DomainError("max_order must be >= 1")
+    check_order(max_order)
     return max(calibrate_c_inv_per_order(n) for n in range(1, max_order + 1))
 
 
@@ -139,18 +144,13 @@ def beta_params(bc: str, alpha: float = 0.0) -> tuple[float, float, float]:
     return 0.5, 0.5, 1.0
 
 
-def _check_positive(**values):
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{name} must be positive and finite, got {value}")
-
-
 def stability_bound(dim: int, order: int, h_min: float, eps_lower: float,
                     mu_lower: float, z_min: float, y_min: float, alpha: float,
                     bc: str, c_inv: float, c_tau: float) -> StabilityConstants:
     """Evaluate the sufficient time-step bound in dim = 2 or 3 dimensions
     (the 3D form is a formula only; there is no 3D solver)."""
     _check_dim(dim)
+    check_order(order)
     _check_positive(h_min=h_min, eps_lower=eps_lower, mu_lower=mu_lower,
                     z_min=z_min, y_min=y_min, c_inv=c_inv, c_tau=c_tau)
     if not 0.0 <= alpha <= 1.0:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from dgtd.cli import main
 from dgtd.config import parse_config, parse_table_spec
 from dgtd.errors import ConfigError
-from dgtd.experiments import SweepSpec
+from dgtd.experiments import SweepSpec, table_filename
 
 PEC_CONFIG = """\
 [mesh]
@@ -376,10 +377,27 @@ def test_parse_config_rejects_unused_keys(tmp_path):
         parse_config(write(tmp_path, "unused.cfg", text))
 
 
+# (bc, alpha) of each shipped table config; each runs its table's whole grid
+SHIPPED_TABLES = {
+    "table_pec_central.cfg": ("PEC", 0.0),
+    "table_pec_upwind.cfg": ("PEC", 1.0),
+    "table_sm_central.cfg": ("SM", 0.0),
+    "table_sm_upwind.cfg": ("SM", 1.0),
+}
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SHIPPED_CONFIGS.glob("*.cfg")))
 def test_shipped_configs_parse(name):
-    parse = parse_table_spec if name.startswith("table_") else parse_config
-    parse(str(SHIPPED_CONFIGS / name))
+    if name not in SHIPPED_TABLES:
+        parse_config(str(SHIPPED_CONFIGS / name))
+        return
+    spec = parse_table_spec(str(SHIPPED_CONFIGS / name))
+    assert [f.name for f in dataclasses.fields(spec)] == [
+        "cells", "orders", "alpha", "bc", "tol"]
+    bc, alpha = SHIPPED_TABLES[name]
+    assert spec == SweepSpec(cells=[5, 10, 20, 40, 80, 160], orders=[1, 2, 3, 4, 5],
+                             alpha=alpha, bc=bc, tol=0.01)
+    assert table_filename(spec.bc, spec.alpha) == name.replace(".cfg", ".csv")
 
 
 def test_parse_config_custom_initial(tmp_path):
@@ -401,13 +419,15 @@ def test_parse_table_spec_errors(tmp_path):
     with pytest.raises(ConfigError, match="blowup_factor"):
         parse_table_spec(write(tmp_path, "t4.cfg",
                                "[sweep]\ncells = 5\norders = 1\nbc = PEC\nblowup_factor = 1e6\n"))
-    with pytest.raises(ConfigError, match=r"unknown section \[time\]"):
-        parse_table_spec(write(tmp_path, "t6.cfg",
-                               "[sweep]\ncells = 5\norders = 1\nbc = PEC\n[time]\ndt = 0.1\n"))
+    for section, key in (("time", "dt = 0.1"), ("material", "mu = 1.0")):
+        with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]"):
+            parse_table_spec(write(tmp_path, "t6.cfg", "[sweep]\ncells = 5\norders = 1\n"
+                                   f"bc = PEC\n[{section}]\n{key}\n"))
     with pytest.raises(ConfigError, match="not both"):
         parse_table_spec(write(tmp_path, "t5.cfg",
                                "[sweep]\ncells = 5\norders = 1\nbc = PEC\nflux = upwind\nalpha = 0.5\n"))
-    for key in ("diagonal = backslash", "initial = zero"):
+    for key in ("diagonal = backslash", "initial = zero", "final_time = 1.0",
+                "bounded_factor = 5.0"):
         with pytest.raises(ConfigError, match=r"unknown or unused \[sweep\] keys: "
                                               + key.split()[0]):
             parse_table_spec(write(tmp_path, "t7.cfg",
@@ -483,7 +503,7 @@ BAD_SIMULATION_VALUES = {
     pytest.param("table", TABLE_SPEC.replace("tol = 0.05", "tol = 0.5"), [],
                  id="table-tol-key"),
     pytest.param("table", TABLE_SPEC + "bounded_factor = 0.5\n", [],
-                 id="table-bounded_factor"),
+                 id="table-unknown-bounded_factor"),
     pytest.param("table", TABLE_SPEC.replace("cells = 5", "cells = 5 0"), [],
                  id="table-cells0"),
     pytest.param("table", TABLE_SPEC.replace("orders = 1", "orders = 1 0"), [],
@@ -492,9 +512,12 @@ BAD_SIMULATION_VALUES = {
                  id="table-orders16"),
     pytest.param("table", TABLE_SPEC.replace("flux = upwind", "alpha = 1.5"), [],
                  id="table-alpha"),
-    pytest.param("table", TABLE_SPEC + "final_time = 0\n", [], id="table-final_time0"),
+    pytest.param("table", TABLE_SPEC + "final_time = 0\n", [],
+                 id="table-unknown-final_time0"),
     pytest.param("table", TABLE_SPEC + "final_time = nan\n", [],
-                 id="table-final_time-nan"),
+                 id="table-unknown-final_time-nan"),
+    pytest.param("table", TABLE_SPEC + "[material]\neps_xx = 5.0\nmu = 1.0\n", [],
+                 id="table-material-section"),
     pytest.param("table", TABLE_SPEC.replace("tol = 0.05", "tol = nan"), [],
                  id="table-tol-nan"),
 ])

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dgtd import (
+    BENCHMARK_EPS,
+    StabilityCase,
     SweepSpec,
     benchmark_case,
     cfl_constant,
@@ -212,9 +215,9 @@ def test_run_table_grid_and_csv(tmp_path):
     assert path.name == "table_pec_upwind.csv"
 
 
-def test_run_table_forwards_every_spec_field(monkeypatch):
+def _searched_cases(monkeypatch):
+    """Make find_dtmax record (case, tol) and return a fixed search."""
     import dgtd.experiments as experiments
-    from dgtd import PermittivityTensor
 
     searched = []
 
@@ -224,17 +227,38 @@ def test_run_table_forwards_every_spec_field(monkeypatch):
                                        theory_bound=0.01)
 
     monkeypatch.setattr(experiments, "find_dtmax", fake_find_dtmax)
-    spec = SweepSpec(cells=[3], orders=[2], alpha=0.5, bc="PMC", tol=0.05,
-                     final_time=0.75, eps=PermittivityTensor(2.0, 0.5, 0.5, 1.5),
-                     mu=2.0, bounded_factor=3.0)
+    return searched
+
+
+def test_run_table_forwards_every_spec_field(monkeypatch):
+    searched = _searched_cases(monkeypatch)
+    spec = SweepSpec(cells=[3], orders=[2], alpha=0.5, bc="PMC", tol=0.05)
     row, = run_table(spec)
     (case, tol), = searched
     assert tol == 0.05
     assert (case.mesh.n_elements, case.order, case.alpha, case.bc) == (18, 2, 0.5, "PMC")
-    assert (case.final_time, case.bounded_factor) == (0.75, 3.0)
-    np.testing.assert_array_equal(case.materials.eps, [[[2.0, 0.5], [0.5, 1.5]]] * 18)
-    np.testing.assert_array_equal(case.materials.mu, 2.0)
     assert (row.dt_max, row.theory_bound) == (0.1, 0.01)
+
+
+def test_run_table_runs_the_benchmark_case(monkeypatch):
+    searched = _searched_cases(monkeypatch)
+    run_table(SweepSpec(cells=[3], orders=[2], alpha=0.5, bc="PMC"))
+    (case, _), = searched
+    expected = benchmark_case(3, 2, 0.5, "PMC")
+    # the tables' tensor, mu = 1, T = 1 and energy factor 5
+    np.testing.assert_array_equal(case.materials.eps, [BENCHMARK_EPS.as_array()] * 18)
+    np.testing.assert_array_equal(case.materials.mu, 1.0)
+    assert (case.final_time, case.bounded_factor) == (1.0, 5.0)
+    for field in dataclasses.fields(StabilityCase):
+        got, want = getattr(case, field.name), getattr(expected, field.name)
+        if field.name == "mesh":
+            for name in ("vertices", "triangles"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        elif field.name == "materials":
+            np.testing.assert_array_equal(got.eps, want.eps)
+            np.testing.assert_array_equal(got.mu, want.mu)
+        else:
+            assert got == want, field.name
 
 
 def test_run_table_empty_orders():
@@ -251,7 +275,6 @@ def test_flux_names():
 
 def test_pmc_case_respects_theory_bound():
     # PMC is not part of the benchmark tables but shares the machinery
-    from dgtd.experiments import StabilityCase
     from dgtd import MaterialMap, PermittivityTensor, structured_square_mesh
 
     mesh = structured_square_mesh(5)

@@ -12,6 +12,7 @@ from dgtd import (
     MaterialMap,
     PermittivityTensor,
     RunConfig,
+    RunResult,
     SpatialOperator,
     build_reference_element,
     discrete_energy,
@@ -203,6 +204,22 @@ def test_run_final_time_smaller_than_dt():
     assert result.completed
     assert result.state.step == 0
     np.testing.assert_array_equal(result.state.Hz, state.Hz)
+
+
+@pytest.mark.parametrize("dt, final_time", [
+    (math.nan, 1.0), (math.inf, 1.0), (-0.1, 1.0),
+    (0.1, math.nan), (0.1, math.inf), (0.1, 0.0),
+])
+def test_run_config_refuses_bad_times(dt, final_time):
+    with pytest.raises(ConfigError, match="finite"):
+        RunConfig(dt=dt, final_time=final_time)
+
+
+def test_run_result_status_follows_blowup_step():
+    state = FieldState(*np.zeros((3, 1, 3)), dt=0.1)
+    done, blown = RunResult(state, np.zeros((1, 3))), RunResult(state, np.zeros((1, 3)), 7)
+    assert (done.completed, done.status) == (True, "completed")
+    assert (blown.completed, blown.status) == (False, "blewup")
 
 
 def test_run_energy_cadence():

@@ -22,6 +22,27 @@ def test_tensor_validation():
         PermittivityTensor(1.0, 2.0, 2.0, 1.0)  # negative determinant
 
 
+IDENTITY = PermittivityTensor.isotropic(1.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: PermittivityTensor(np.nan, 0.0, 0.0, 1.0), "must be finite"),
+    (lambda: PermittivityTensor(np.inf, 0.0, 0.0, 1.0), "must be finite"),
+    (lambda: effective_permittivity(np.array([[1.0, 5.0], [-5.0, 1.0]]), [1.0, 0.0]),
+     "not symmetric"),
+    (lambda: effective_permittivity(np.array([[1.0, 0.0], [0.0, np.nan]]), [1.0, 0.0]),
+     "must be finite"),
+    (lambda: effective_permittivity(IDENTITY, [0.0, 0.0]), "normal must be nonzero"),
+    (lambda: wave_speed(IDENTITY, np.nan, [1.0, 0.0]), "must be finite"),
+    (lambda: wave_speed(IDENTITY, np.inf, [1.0, 0.0]), "must be finite"),
+    (lambda: wave_speed(IDENTITY, 0.0, [1.0, 0.0]), "positive"),
+], ids=["tensor-nan", "tensor-inf", "array-not-symmetric", "array-nan", "zero-normal",
+        "mu-nan", "mu-inf", "mu-zero"])
+def test_every_material_path_checks_the_tensor_and_mu(call, match):
+    with pytest.raises(MaterialError, match=match):
+        call()
+
+
 def test_effective_permittivity_values():
     ident = PermittivityTensor.isotropic(1.0)
     for n in ([1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]):

@@ -7,8 +7,10 @@ import pytest
 from dgtd import (
     DomainError,
     FluxParams,
+    InvalidOrderError,
     MaterialMap,
     PermittivityTensor,
+    SweepSpec,
     beta_params,
     build_reference_element,
     calibrate_c_inv,
@@ -46,6 +48,22 @@ def test_trace_constant_hand_values():
         trace_constant_exact(1, -1.0, 1.0)
     with pytest.raises(DomainError):
         trace_constant_exact(1, 1.0, 1.0, dim=4)
+    for face, cell in ((math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(DomainError, match="positive and finite"):
+            trace_constant_exact(1, face, cell)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, 16])
+def test_every_order_entry_point_checks_the_order(bad):
+    with pytest.raises(InvalidOrderError):
+        stability_bound(2, bad, 0.5, 1.0, 1.0, 1.0, 1.0, 0.0, "PEC", 9.0, 2.2)
+    with pytest.raises(InvalidOrderError):
+        trace_constant_exact(bad, 1.0, 1.0)
+    with pytest.raises(InvalidOrderError):
+        calibrate_c_inv(bad)
+    # an InvalidOrderError is the DomainError a SweepSpec documents
+    with pytest.raises(DomainError):
+        SweepSpec(cells=[5], orders=[1, bad], alpha=0.0, bc="PEC")
 
 
 def test_c_tau_hand_value():
