@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="path to config file")
-        p.add_argument("--out", default=".", help="output directory")
 
     def tolerance(p):
         p.add_argument("--tol", type=float, default=None,
@@ -71,13 +70,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="regenerate a CFL table as CSV")
     common(p_table)
     tolerance(p_table)
+    for p in (p_sim, p_bound, p_table):  # the commands that write files
+        p.add_argument("--out", default=".", help="output directory")
     return parser
 
 
 def _build_case(cfg) -> StabilityCase:
     mesh = cfg.build_mesh()
     return StabilityCase(mesh, cfg.build_materials(mesh), cfg.order,
-                         cfg.alpha, cfg.bc, initial=cfg.initial_condition(),
+                         cfg.alpha, cfg.bc, initial=cfg.initial,
                          final_time=cfg.final_time)
 
 

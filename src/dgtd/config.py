@@ -29,7 +29,8 @@ A simulation config looks like::
     final_time = 1.0
 
     [initial]
-    name = pec_cosine
+    name = custom
+    hz = sin(pi * x) * cos(pi * y) * cos(t)
 
     [output]
     energy_every = 1
@@ -41,6 +42,16 @@ entries and `mu` with `table = materials.txt` (rows: k exx exy eyx eyy mu).
 A key left out takes its default from `SimulationConfig`; every number
 given must be finite.
 
+`[initial] name` is a key of `leapfrog.INITIAL_CONDITIONS` or `custom`;
+it defaults to sm_sine under `bc = SM` and pec_cosine otherwise. A
+custom `hz` is the initial Hz at t = dt/2: an expression that uses x or
+y and is made only of numbers (read as floats), the names x, y, t
+(= dt/2) and pi, one-argument calls of sin, cos, tan, exp, sqrt and
+abs, `+ - * / **` and unary `+ -`. The parse checks it against that
+grammar and compiles it once; `SimulationConfig.initial` holds the
+name, or for custom the compiled f(x, y, dt). Nothing else in a config
+is evaluated, and `%` is read literally (no interpolation).
+
 A table sweep file holds only a `[sweep]` section with `cells`, `orders`,
 `flux` (central or upwind) or `alpha`, `bc` and `tol`. Each of its rows is
 `experiments.benchmark_case`, so it sets no material, final time or
@@ -49,17 +60,20 @@ energy threshold.
 
 from __future__ import annotations
 
+import ast
 import configparser
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .dg_core import normalize_bc
 from .errors import ConfigError
 from .experiments import BENCHMARK_EPS, SweepSpec
-from .leapfrog import DEFAULT_BLOWUP_FACTOR, default_initial_condition
+from .leapfrog import (DEFAULT_BLOWUP_FACTOR, INITIAL_CONDITIONS,
+                       default_initial_condition)
 from .materials import MaterialMap, PermittivityTensor
 from .mesh import Mesh2D, load_mesh, structured_square_mesh
 
@@ -88,8 +102,8 @@ class SimulationConfig:
     safety: float = 0.5
     final_time: float = 1.0
 
-    initial: str = "pec_cosine"
-    custom_hz: str | None = None
+    # a name in leapfrog.INITIAL_CONDITIONS, or f(x, y, dt) for custom
+    initial: str | Callable = "pec_cosine"
 
     energy_every: int = 1
     fields_out: bool = False
@@ -114,25 +128,14 @@ class SimulationConfig:
             return MaterialMap.from_table(mesh.n_elements, rows)
         return MaterialMap.uniform(mesh.n_elements, self.eps, self.mu)
 
-    def initial_condition(self):
-        if self.initial != "custom":
-            return self.initial
-        expr = self.custom_hz
-        names = {name: getattr(np, name) for name in
-                 ("sin", "cos", "tan", "exp", "sqrt", "abs", "pi")}
-
-        def custom(x, y, dt):
-            return eval(expr, {"__builtins__": {}},
-                        dict(names, x=x, y=y, t=dt / 2.0))
-        return custom
-
 
 class _Reader:
     """configparser wrapper with typed getters and error context; it records
     each (section, key) asked for, in order, with the value the parse used."""
 
     def __init__(self, path):
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                           interpolation=None)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 parser.read_file(handle)
@@ -238,6 +241,74 @@ def _require_file(path, what: str, config_path):
         raise ConfigError(f"{config_path}: {what} file not found: {path}")
 
 
+# the `[initial] hz` grammar: numbers (read as floats), these names,
+# one-argument calls of these functions, + - * / ** and unary + -
+_HZ_FUNCTIONS = {name: getattr(np, name)
+                 for name in ("sin", "cos", "tan", "exp", "sqrt", "abs")}
+_HZ_NAMES = ("x", "y", "t", "pi")
+_HZ_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+
+
+def _outside_hz_grammar(node: ast.expr) -> ast.expr | None:
+    """The first part of the tree outside the hz grammar, or None. Each
+    number is rewritten in place as a float; a non-finite one is outside."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        node.value = float(node.value)
+        return None if math.isfinite(node.value) else node
+    if isinstance(node, ast.Name):
+        return None if node.id in _HZ_NAMES else node
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _HZ_FUNCTIONS and len(node.args) == 1
+            and not node.keywords):
+        parts = node.args
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, _HZ_OPERATORS):
+        parts = (node.left, node.right)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _HZ_OPERATORS):
+        parts = (node.operand,)
+    else:
+        return node
+    return next(filter(None, map(_outside_hz_grammar, parts)), None)
+
+
+def _parse_hz(expr: str, path) -> Callable:
+    """`[initial] hz = expr` as f(x, y, dt), with t = dt/2 in the
+    expression; ConfigError unless expr is in the hz grammar and uses x
+    or y. It is sampled once here, with numpy zeros for x, y and t, so
+    that a part with no variable that overflows, divides by zero or is
+    complex is refused now; one that does so only at the run's t is
+    refused when the run samples it."""
+    def refused(why):
+        return ConfigError(f"{path}: [initial] hz = {expr!r}: {why}")
+
+    try:
+        tree = ast.parse(expr, mode="eval")
+        outside = _outside_hz_grammar(tree.body)
+    except (SyntaxError, RecursionError, MemoryError, OverflowError) as exc:
+        raise refused(f"not a valid expression ({type(exc).__name__})") from exc
+    if outside is not None:
+        raise refused(f"{ast.unparse(outside)!r} is not allowed; use numbers, "
+                      f"{', '.join(_HZ_NAMES)}, calls of "
+                      f"{', '.join(_HZ_FUNCTIONS)} and + - * / **")
+    if not any(isinstance(node, ast.Name) and node.id in ("x", "y")
+               for node in ast.walk(tree)):
+        raise refused("it must depend on x or y")
+    code = compile(tree, "[initial] hz", "eval")
+
+    def hz(x, y, dt):
+        try:
+            value = eval(code, {"__builtins__": {}},
+                         dict(_HZ_FUNCTIONS, pi=np.pi, x=x, y=y, t=dt / 2.0))
+        except ArithmeticError as exc:
+            raise refused(f"{type(exc).__name__}: {exc}") from exc
+        if np.iscomplexobj(value):  # a negative float to a fractional power
+            raise refused("its value is complex")
+        return value
+
+    with np.errstate(all="ignore"):
+        hz(np.zeros(1), np.zeros(1), np.float64(0.0))
+    return hz
+
+
 def parse_config(path) -> SimulationConfig:
     """Parse and validate a simulation config file; sections and keys the
     parse does not read are errors, not silently ignored."""
@@ -290,7 +361,10 @@ def parse_config(path) -> SimulationConfig:
     cfg.initial = reader.get("initial", "name",
                              default_initial_condition(cfg.bc))
     if cfg.initial == "custom":
-        cfg.custom_hz = reader.get("initial", "hz", required=True)
+        cfg.initial = _parse_hz(reader.get("initial", "hz", required=True), path)
+    elif cfg.initial not in INITIAL_CONDITIONS:
+        raise ConfigError(f"{path}: unknown [initial] name {cfg.initial!r}; "
+                          f"use {', '.join(INITIAL_CONDITIONS)} or custom")
 
     cfg.energy_every = reader.get_int("output", "energy_every", cfg.energy_every)
     if cfg.energy_every < 1:

@@ -36,7 +36,7 @@ from .leapfrog import (
     run,
 )
 from .materials import MaterialMap, PermittivityTensor
-from .mesh import Mesh2D, structured_square_mesh
+from .mesh import Mesh2D, check_cells, structured_square_mesh
 from .reference_element import build_reference_element, check_order
 from .stability import StabilityConstants, spectral_dt, theoretical_bound
 
@@ -202,8 +202,8 @@ class SweepSpec:
         # FluxParams owns the alpha range and the bc spellings
         self.bc = FluxParams(self.alpha, self.bc).bc
         check_tol(self.tol)
-        if any(c < 1 for c in self.cells):
-            raise DomainError(f"cells entries must be >= 1, got {self.cells}")
+        for cells in self.cells:
+            check_cells(cells)
         for order in self.orders:
             check_order(order)
 

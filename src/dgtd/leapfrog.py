@@ -50,10 +50,6 @@ class FieldState:
     def time_E(self) -> float:
         return self.step * self.dt
 
-    @property
-    def time_H(self) -> float:
-        return (self.step + 0.5) * self.dt
-
     def copy(self) -> "FieldState":
         return FieldState(self.Ex.copy("K"), self.Ey.copy("K"), self.Hz.copy("K"),
                           self.dt, self.step)
@@ -202,6 +198,17 @@ def write_energy_csv(path, result: RunResult) -> None:
             out.write(f"{int(row[0])},{float(row[1])!r},{float(row[2])!r}\n")
 
 
+# Hz at t = dt/2 of each named initial state (see initial_conditions)
+INITIAL_CONDITIONS = {
+    "pec_cosine": lambda x, y, materials, dt: (
+        np.cos(np.pi * x) * np.cos(np.pi * y)
+        * math.cos(standing_mode_frequency(materials) * dt / 2.0)),
+    "sm_sine": lambda x, y, materials, dt: (
+        math.sin(math.pi * dt / 2.0) * np.sin(np.pi * x * y)),
+    "zero": lambda x, y, materials, dt: np.zeros_like(x),
+}
+
+
 def initial_conditions(name, mesh: Mesh2D, elem: ReferenceElement,
                        materials: MaterialMap, dt: float) -> FieldState:
     """Sample a named initial state: E at t = 0, Hz at t = dt/2.
@@ -212,21 +219,15 @@ def initial_conditions(name, mesh: Mesh2D, elem: ReferenceElement,
     state. A callable f(x, y, dt) may be passed instead to fill Hz.
     """
     x, y = mesh.map_reference_nodes(elem.r, elem.s)
-    zeros = np.zeros_like(x)
     if callable(name):
         hz = np.asfortranarray(name(x, y, dt), dtype=float)
         if hz.shape != x.shape:
             raise ConfigError("custom initial condition returned a bad shape")
-    elif name == "pec_cosine":
-        omega = standing_mode_frequency(materials)
-        hz = np.cos(np.pi * x) * np.cos(np.pi * y) * math.cos(omega * dt / 2.0)
-    elif name == "sm_sine":
-        hz = math.sin(math.pi * dt / 2.0) * np.sin(np.pi * x * y)
-    elif name == "zero":
-        hz = zeros.copy("K")
+    elif name in INITIAL_CONDITIONS:
+        hz = INITIAL_CONDITIONS[name](x, y, materials, dt)
     else:
         raise ConfigError(f"unknown initial condition {name!r}")
-    return FieldState(zeros.copy("K"), zeros.copy("K"), hz, dt=dt, step=0)
+    return FieldState(np.zeros_like(x), np.zeros_like(x), hz, dt=dt, step=0)
 
 
 def standing_mode_frequency(materials: MaterialMap) -> float:

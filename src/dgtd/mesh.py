@@ -67,20 +67,8 @@ class Mesh2D:
         return float((self.h_k / self.tau_k).max())
 
     @property
-    def boundary_edge_count(self) -> int:
-        return int(np.count_nonzero(self.neighbor < 0))
-
-    @property
-    def interior_edge_count(self) -> int:
-        return int(np.count_nonzero(self.neighbor >= 0)) // 2
-
-    @property
     def perimeter_k(self) -> np.ndarray:
         return self.edge_length.sum(axis=1)
-
-    def element_vertices(self, k: int) -> np.ndarray:
-        """(3, 2) vertex coordinates of element k."""
-        return self.vertices[self.triangles[k]]
 
     def map_reference_nodes(self, r, s) -> tuple[np.ndarray, np.ndarray]:
         """Map reference coordinates to physical ones for every element.
@@ -239,6 +227,12 @@ def mesh_from_arrays(vertices, triangles, reorient: bool = False) -> Mesh2D:
     )
 
 
+def check_cells(cells) -> None:
+    """DomainError unless cells is an integer >= 1 (numpy integers too)."""
+    if not isinstance(cells, (int, np.integer)) or cells < 1:
+        raise DomainError(f"cells must be an integer >= 1, got {cells!r}")
+
+
 def structured_square_mesh(n_cells_per_side: int,
                            xmin: float = -1.0, xmax: float = 1.0,
                            ymin: float = -1.0, ymax: float = 1.0,
@@ -253,9 +247,8 @@ def structured_square_mesh(n_cells_per_side: int,
     element diameter is the cell diagonal, so h_min = sqrt(2) * (xmax -
     xmin) / n.
     """
+    check_cells(n_cells_per_side)
     n = int(n_cells_per_side)
-    if n < 1:
-        raise DomainError("n_cells_per_side must be >= 1")
     if not (xmax > xmin and ymax > ymin):
         raise DomainError("degenerate domain extents")
     if diagonal not in ("slash", "backslash"):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgtd.cli import main
+from dgtd.cli import _build_parser, main
 from dgtd.config import parse_config, parse_table_spec
 from dgtd.errors import ConfigError
 from dgtd.experiments import SweepSpec, table_filename
@@ -41,6 +41,14 @@ name = pec_cosine
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = REPO / "demos" / "configs"
+
+
+# the commands that write files, and so take --out
+WRITES_OUT = ("simulate", "bound", "table")
+
+
+def out_flag(command, out):
+    return ["--out", str(out)] if command in WRITES_OUT else []
 
 
 def write(tmp_path, name, text):
@@ -292,6 +300,27 @@ def test_python_dash_m_runs_the_cli():
     assert "dtmax-sweep" in proc.stdout
 
 
+def readme_commands():
+    """Each `dgtd ...` line of README's sh block, as argv lists with the
+    bracketed optional flags and without them."""
+    readme = (REPO / "README.md").read_text()
+    lines = [line for block in readme.split("```sh\n")[1:]
+             for line in block.split("```")[0].splitlines()
+             if line.startswith("dgtd ")]
+    assert len(lines) == 4
+    for line in lines:
+        bracketed = line.replace("[", "").replace("]", "")
+        for text in dict.fromkeys([bracketed, line.split("[")[0]]):
+            argv = text.split()[1:]
+            yield pytest.param(argv, id=" ".join(argv))
+
+
+@pytest.mark.parametrize("argv", readme_commands())
+def test_readme_command_lines_parse(argv):
+    args = _build_parser().parse_args(argv)
+    assert (REPO / args.config).is_file()
+
+
 def test_bound_three_d(tmp_path, capsys):
     cfg = write(tmp_path, "run.cfg", PEC_CONFIG)
     out = tmp_path / "out"
@@ -316,14 +345,16 @@ def test_dtmax_sweep_command(tmp_path, capsys):
     ["bound", "--tol", "0.1"],
     ["bound", "--threads", "2"],
     ["dtmax-sweep", "--threads", "2"],
+    ["dtmax-sweep", "--out", "d"],
     ["table", "--threads", "2"],
 ])
 def test_unused_flags_are_refused(tmp_path, capsys, argv):
     cfg = write(tmp_path, "run.cfg", PEC_CONFIG)
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--config", cfg, "--out", str(tmp_path)])
+        main(argv + ["--config", cfg] + out_flag(argv[0], tmp_path))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_table_command(tmp_path, capsys):
@@ -400,14 +431,24 @@ def test_shipped_configs_parse(name):
     assert table_filename(spec.bc, spec.alpha) == name.replace(".cfg", ".csv")
 
 
+# [initial] hz expressions with the values they must give, t = dt/2
+CUSTOM_HZ = {
+    "sin(pi * x) * cos(pi * y)": lambda x, y, t: np.sin(np.pi * x) * np.cos(np.pi * y),
+    "2**-x": lambda x, y, t: 2.0 ** -x,
+    "abs(x) - t": lambda x, y, t: np.abs(x) - t,
+    "exp(-(x*x + y*y)) * cos(pi * t)":
+        lambda x, y, t: np.exp(-(x * x + y * y)) * np.cos(np.pi * t),
+}
+
+
 def test_parse_config_custom_initial(tmp_path):
-    text = PEC_CONFIG.replace("name = pec_cosine",
-                              "name = custom\nhz = sin(pi * x) * cos(pi * y)")
-    cfg = parse_config(write(tmp_path, "c.cfg", text))
-    fn = cfg.initial_condition()
-    x = np.array([0.5])
-    y = np.array([0.0])
-    assert fn(x, y, 0.1)[0] == pytest.approx(1.0)
+    x = np.array([0.5, -0.25, 1.0])
+    y = np.array([0.0, 0.75, -1.0])
+    for expr, expected in CUSTOM_HZ.items():
+        text = PEC_CONFIG.replace("name = pec_cosine", f"name = custom\nhz = {expr}")
+        cfg = parse_config(write(tmp_path, "c.cfg", text))
+        np.testing.assert_array_equal(cfg.initial(x, y, 0.1), expected(x, y, 0.05))
+        assert f"hz = {expr}\n" in cfg.effective_text
 
 
 def test_parse_table_spec_errors(tmp_path):
@@ -481,10 +522,25 @@ BAD_SIMULATION_VALUES = {
 }
 
 
+# [initial] values every command that reads a simulation config refuses
+BAD_INITIAL = {
+    "name-foo": "name = foo",
+    **{f"hz-{hz}": f"name = custom\nhz = {hz}" for hz in (
+        "x +", "q * x", "1.0", "(x + y).copy()", "x[0]", "sin(x=1)", "sin",
+        "x(1)", "[x for x in y]", "lambda: x", '"x"', "9**9**9**9",
+        "x * 9**9**9**9", "x + 1/0", "x % 2", "sin(x, y)", "x + (-8)**0.5")},
+}
+
+
 @pytest.mark.parametrize("command, text, flags", [
     pytest.param(command, PEC_CONFIG.replace(*edit), [], id=f"{command}-{name}")
     for command in ("simulate", "bound")
     for name, edit in BAD_SIMULATION_VALUES.items()
+] + [
+    pytest.param(command, PEC_CONFIG.replace("name = pec_cosine", initial), [],
+                 id=f"{command}-{name}")
+    for command in ("simulate", "bound", "dtmax-sweep")
+    for name, initial in BAD_INITIAL.items()
 ] + [
     pytest.param("simulate", PEC_CONFIG.replace("safety = 0.5", "safety = 0"), [],
                  id="simulate-safety0"),
@@ -524,11 +580,27 @@ BAD_SIMULATION_VALUES = {
 def test_bad_values_exit_2_and_write_nothing(tmp_path, capsys, command, text, flags):
     cfg = write(tmp_path, "run.cfg", text)
     out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)] + flags) == 2
+    assert main([command, "--config", cfg] + out_flag(command, out) + flags) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
     assert captured.out == ""  # refused before any row, report or auto dt
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "dtmax-sweep"])
+def test_hz_that_raises_when_sampled_exits_2(tmp_path, capsys, command):
+    # 1/(t - t) passes the parse, whose sample has a numpy zero for t, and
+    # divides by zero at the run's float t; bound never samples it
+    text = PEC_CONFIG.replace("name = pec_cosine", "name = custom\nhz = 1/(t - t) + x")
+    cfg = write(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg] + out_flag(command, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ZeroDivisionError" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert main(["bound", "--config", cfg, "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("command", ["simulate", "bound"])

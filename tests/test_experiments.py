@@ -16,7 +16,7 @@ from dgtd import (
     spectral_dt,
     write_table_csv,
 )
-from dgtd.errors import SweepError
+from dgtd.errors import DomainError, SweepError
 from dgtd.experiments import START_TOL, flux_name, table_filename
 
 
@@ -264,6 +264,16 @@ def test_run_table_runs_the_benchmark_case(monkeypatch):
 def test_run_table_empty_orders():
     spec = SweepSpec(cells=[5], orders=[], alpha=0.0, bc="PEC")
     assert run_table(spec) == []
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, "5"])
+def test_sweep_spec_refuses_cells_that_are_not_integers_above_0(bad):
+    with pytest.raises(DomainError, match="cells must be an integer >= 1"):
+        SweepSpec(cells=[5, bad], orders=[1], alpha=0.0, bc="PEC")
+
+
+def test_sweep_spec_accepts_numpy_integer_cells():
+    assert SweepSpec(cells=[np.int64(5)], orders=[1], alpha=0.0, bc="PEC").cells == [5]
 
 
 def test_flux_names():

@@ -29,8 +29,8 @@ def test_single_cell_mesh():
     mesh = structured_square_mesh(1, 0.0, 1.0, 0.0, 1.0)
     assert mesh.n_elements == 2
     assert mesh.area.sum() == pytest.approx(1.0, rel=1e-14)
-    assert mesh.interior_edge_count == 1
-    assert mesh.boundary_edge_count == 4
+    assert np.count_nonzero(mesh.neighbor >= 0) // 2 == 1
+    assert np.count_nonzero(mesh.neighbor < 0) == 4
 
 
 def test_area_sum_matches_domain():
@@ -46,10 +46,11 @@ def test_structured_edge_counts_match_euler_oracle():
         mesh = structured_square_mesh(n)
         k = 2 * n * n
         boundary = 4 * n
-        assert mesh.boundary_edge_count == boundary
-        assert mesh.interior_edge_count == (3 * k - boundary) // 2
+        interior = np.count_nonzero(mesh.neighbor >= 0) // 2
+        assert np.count_nonzero(mesh.neighbor < 0) == boundary
+        assert interior == (3 * k - boundary) // 2
         # sanity: Euler characteristic of a disk triangulation
-        n_edges = mesh.interior_edge_count + mesh.boundary_edge_count
+        n_edges = interior + boundary
         assert mesh.n_vertices - n_edges + mesh.n_elements == 1
 
 
@@ -87,7 +88,7 @@ def test_jacobian_factors_invert_affine_map():
     mesh = structured_square_mesh(2, -0.5, 1.5, 0.0, 3.0)
     # d(r,s)/d(x,y) must invert d(x,y)/d(r,s) built from the vertices
     for k in range(mesh.n_elements):
-        v = mesh.element_vertices(k)
+        v = mesh.vertices[mesh.triangles[k]]
         fwd = 0.5 * np.stack([v[1] - v[0], v[2] - v[0]], axis=1)
         back = np.array([[mesh.rx[k], mesh.ry[k]], [mesh.sx[k], mesh.sy[k]]])
         np.testing.assert_allclose(back @ fwd, np.eye(2), atol=1e-13)
@@ -99,7 +100,7 @@ def test_map_reference_nodes_hits_vertices():
     s = np.array([-1.0, -1.0, 1.0])
     x, y = mesh.map_reference_nodes(r, s)
     for k in range(mesh.n_elements):
-        v = mesh.element_vertices(k)
+        v = mesh.vertices[mesh.triangles[k]]
         np.testing.assert_allclose(np.stack([x[k], y[k]], axis=1), v, atol=1e-14)
 
 
@@ -173,6 +174,10 @@ def test_degenerate_extents_rejected():
         structured_square_mesh(3, 1.0, 1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         structured_square_mesh(0)
+    for cells in (2.5, 2.0, "2"):
+        with pytest.raises(DomainError, match="integer"):
+            structured_square_mesh(cells)
+    assert structured_square_mesh(np.int64(2)).n_elements == 8
     with pytest.raises(DomainError):
         structured_square_mesh(3, diagonal="diag")
 
@@ -216,8 +221,8 @@ def test_shipped_finest_mesh_counts_and_symmetry():
     mesh = structured_square_mesh(n)
     k = mesh.n_elements
     assert k == 2 * n * n
-    assert mesh.boundary_edge_count == 4 * n
-    assert mesh.interior_edge_count == (3 * k - 4 * n) // 2
+    assert np.count_nonzero(mesh.neighbor < 0) == 4 * n
+    assert np.count_nonzero(mesh.neighbor >= 0) // 2 == (3 * k - 4 * n) // 2
     elems, faces = np.nonzero(mesh.neighbor >= 0)
     k2 = mesh.neighbor[elems, faces]
     f2 = mesh.neighbor_face[elems, faces]
