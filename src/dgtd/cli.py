@@ -75,6 +75,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what bound and dtmax-sweep use of a simulation config: whole sections,
+# or (section, key) pairs
+_BOUND_USES = {"mesh", "material", "discretization"}
+_DTMAX_USES = _BOUND_USES | {"initial", ("time", "final_time")}
+
+
+def _note_unused(args, cfg, uses) -> None:
+    """One stderr line naming the keys the file sets that the command does
+    not use, if there are any."""
+    unused = [f"[{section}] {key}" for section, key in cfg.keys_set
+              if section not in uses and (section, key) not in uses]
+    if unused:
+        print(f"note: {args.config}: {args.command} does not use "
+              f"{', '.join(unused)}", file=sys.stderr)
+
+
 def _build_case(cfg) -> StabilityCase:
     mesh = cfg.build_mesh()
     return StabilityCase(mesh, cfg.build_materials(mesh), cfg.order,
@@ -147,6 +163,7 @@ def _cmd_bound(args) -> int:
             bound.c_inv, bound.c_tau,
         )))
 
+    _note_unused(args, cfg, _BOUND_USES)
     rows = [("dim", *(f.name for f in dataclasses.fields(bound)))]
     for dim, title, evaluated in bounds:
         print(title)
@@ -162,8 +179,10 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_dtmax(args) -> int:
-    case = _build_case(parse_config(args.config))
+    cfg = parse_config(args.config)
+    case = _build_case(cfg)
     search = find_dtmax(case) if args.tol is None else find_dtmax(case, tol=args.tol)
+    _note_unused(args, cfg, _DTMAX_USES)
     c = cfl_constant(search.dt_max, case.order, case.mesh.h_min)
     print(f"h_min        = {case.mesh.h_min!r}")
     print(f"dt_max       = {search.dt_max!r}")

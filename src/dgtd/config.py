@@ -40,7 +40,7 @@ A mesh file replaces `kind = structured` with `kind = file` plus
 `path = mesh.txt`; a per-element material table replaces the tensor
 entries and `mu` with `table = materials.txt` (rows: k exx exy eyx eyy mu).
 A key left out takes its default from `SimulationConfig`; every number
-given must be finite.
+given must be finite. `safety` is read only under `dt = auto`.
 
 `[initial] name` is a key of `leapfrog.INITIAL_CONDITIONS` or `custom`;
 it defaults to sm_sine under `bc = SM` and pec_cosine otherwise. A
@@ -111,6 +111,8 @@ class SimulationConfig:
 
     # every key the parse read, with the value it used, as config text
     effective_text: str = field(default="", init=False, repr=False)
+    # the (section, key) pairs the file sets, in the order the parse read them
+    keys_set: tuple[tuple[str, str], ...] = field(default=(), init=False, repr=False)
 
     def build_mesh(self) -> Mesh2D:
         if self.mesh_kind == "structured":
@@ -351,9 +353,10 @@ def parse_config(path) -> SimulationConfig:
         cfg.dt = reader.get_float("time", "dt")
         if cfg.dt <= 0.0:
             raise ConfigError(f"{path}: dt must be positive")
-    cfg.safety = reader.get_float("time", "safety", cfg.safety)
-    if not cfg.safety > 0.0:
-        raise ConfigError(f"{path}: safety must be positive")
+    else:  # safety scales only the auto dt
+        cfg.safety = reader.get_float("time", "safety", cfg.safety)
+        if not cfg.safety > 0.0:
+            raise ConfigError(f"{path}: safety must be positive")
     cfg.final_time = reader.get_float("time", "final_time", cfg.final_time)
     if cfg.final_time <= 0.0:
         raise ConfigError(f"{path}: final_time must be positive")
@@ -376,6 +379,7 @@ def parse_config(path) -> SimulationConfig:
         raise ConfigError(f"{path}: [output] blowup_factor must be > 1")
     reader.reject_unread()
     cfg.effective_text = reader.effective_text()
+    cfg.keys_set = tuple(key for key in reader.read if reader.has(*key))
     return cfg
 
 

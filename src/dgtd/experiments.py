@@ -189,8 +189,9 @@ def cfl_constant(dt_max: float, order: int, h_min: float) -> float:
 @dataclass
 class SweepSpec:
     """Grid of (mesh refinement, order) benchmark cases sharing one flux
-    and boundary condition; a bad tol, cells or orders entry raises
-    DomainError, and a bad alpha or bc ConfigError, before any case runs."""
+    and boundary condition; a bad tol, cells or orders entry, or an empty
+    or repeating cells or orders list, raises DomainError, and a bad alpha
+    or bc ConfigError, before any case runs."""
 
     cells: list[int]
     orders: list[int]
@@ -206,6 +207,10 @@ class SweepSpec:
             check_cells(cells)
         for order in self.orders:
             check_order(order)
+        for name, values in (("cells", self.cells), ("orders", self.orders)):
+            if len(values) == 0 or len(set(values)) < len(values):
+                raise DomainError(f"{name} must be a nonempty list with no "
+                                  f"repeated entry, got {list(values)}")
 
 
 @dataclass

@@ -9,7 +9,7 @@ precomputed per-element inverses inside the spatial operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +28,6 @@ class FieldState:
 
     Ex and Ey are values at time level `step`; Hz sits half a step later.
     Times are derived from the step index, never accumulated.
-
-    A state made by `step` under a penalised flux (some alpha > 0) carries
-    the n x [E] it built for its H update, so that the next step's E
-    update need not gather it again. Its Ex and Ey are then read-only. The
-    next step reuses it only with the operator that built it and only
-    while Ex and Ey are the arrays it was built from. A hand-built or
-    copied state, one given new Ex or Ey arrays (also by
-    dataclasses.replace), or one stepped by another operator recomputes it.
     """
 
     Ex: np.ndarray
@@ -43,8 +35,6 @@ class FieldState:
     Hz: np.ndarray
     dt: float
     step: int = 0
-    # (operator, Ex, Ey, n x [E]) from the step that made this state
-    _e_cross: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def time_E(self) -> float:
@@ -55,24 +45,30 @@ class FieldState:
                           self.dt, self.step)
 
 
+@dataclass
+class _RunState(FieldState):
+    """A state that only `run` holds, with the n x [E] of its E fields that
+    the step which made it gathered for a penalised flux, or None."""
+
+    e_cross: np.ndarray | None = None
+
+
 def step(state: FieldState, op: SpatialOperator, dt: float) -> FieldState:
     """Advance one full leap-frog step.
 
     The E update consumes H at the half level and E jumps at the current
     level; the H update then consumes the new E. [Hz] is gathered once for
-    both half-steps, and n x [E] at the new level once for the H update
-    and, through the returned state, the next step's E update. The input
-    arrays are left unchanged and the new fields are Fortran-order. Raises
-    BlowupDetected, carrying the index of the step it would have made, if
-    non-finite values appear.
+    both half-steps, and n x [E] at the new level once for the H update.
+    Under a penalised flux (some alpha > 0) the E update reads n x [E] at
+    the current level: a state from `run` brings it; for any other, it is
+    gathered here.
+    The input arrays are left unchanged; the new fields are new, writable
+    Fortran-order arrays. Raises BlowupDetected, carrying the index of
+    the step it would have made, if non-finite values appear.
     """
     hz_jump = op.hz_jump(state.Hz)
-    carried = state._e_cross
-    e_cross = None
-    if (carried is not None and carried[0] is op and carried[1] is state.Ex
-            and carried[2] is state.Ey):
-        e_cross = carried[3]
-    elif op.penalised:
+    e_cross = getattr(state, "e_cross", None)
+    if e_cross is None and op.penalised:
         e_cross = op.e_cross(state.Ex, state.Ey)
     ex1, ey1 = op.rhs_e(state.Hz, hz_jump, e_cross)
     ex1 *= dt
@@ -86,11 +82,11 @@ def step(state: FieldState, op: SpatialOperator, dt: float) -> FieldState:
     if not (np.isfinite(hz1).all() and np.isfinite(ex1).all()
             and np.isfinite(ey1).all()):
         raise BlowupDetected(state.step + 1)
-    new = FieldState(ex1, ey1, hz1, dt, state.step + 1)
-    if op.penalised:
-        ex1.flags.writeable = ey1.flags.writeable = False
-        new._e_cross = (op, ex1, ey1, e_cross)
-    return new
+    if isinstance(state, _RunState):
+        # a central flux never reads it, so it is not kept
+        return _RunState(ex1, ey1, hz1, dt, state.step + 1,
+                         e_cross if op.penalised else None)
+    return FieldState(ex1, ey1, hz1, dt, state.step + 1)
 
 
 def discrete_energy(state: FieldState, mesh: Mesh2D, materials: MaterialMap,
@@ -168,26 +164,30 @@ def run(state0: FieldState, op: SpatialOperator, config: RunConfig) -> RunResult
     so numpy does not warn about it.
     """
     mesh, materials, elem = op.mesh, op.materials, op.elem
-    state = state0
+    state = _RunState(state0.Ex, state0.Ey, state0.Hz, state0.dt, state0.step)
     e0 = discrete_energy(state, mesh, materials, elem)
     trace = [(state.step, state.time_E, e0)]
     threshold = config.blowup_factor * e0
 
     n_steps = config.n_steps
     every = config.record_energy_every
+    blowup_step = None
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(n_steps):
             try:
                 state = step(state, op, config.dt)
             except BlowupDetected as blow:
                 trace.append((blow.step, blow.step * config.dt, math.inf))
-                return RunResult(state, np.array(trace), blow.step)
+                blowup_step = blow.step
+                break
             if (m + 1) % every == 0 or m + 1 == n_steps:
                 energy = discrete_energy(state, mesh, materials, elem)
                 trace.append((state.step, state.time_E, energy))
                 if not math.isfinite(energy) or energy > threshold:
-                    return RunResult(state, np.array(trace), state.step)
-    return RunResult(state, np.array(trace))
+                    blowup_step = state.step
+                    break
+    fields = FieldState(state.Ex, state.Ey, state.Hz, state.dt, state.step)
+    return RunResult(fields, np.array(trace), blowup_step)
 
 
 def write_energy_csv(path, result: RunResult) -> None:

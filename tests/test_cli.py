@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import os
 import subprocess
@@ -68,7 +69,7 @@ def test_simulate_auto_dt_completes(tmp_path, capsys):
 
 
 def test_simulate_blowup_exit_code(tmp_path):
-    text = (PEC_CONFIG.replace("dt = auto", "dt = 0.1")
+    text = (PEC_CONFIG.replace("dt = auto\nsafety = 0.5", "dt = 0.1")
                       .replace("cells = 5", "cells = 10")
                       .replace("order = 1", "order = 2")
                       .replace("final_time = 1.0", "final_time = 5.0"))
@@ -159,7 +160,6 @@ bc = PEC
 
 [time]
 dt = 0.05
-safety = 0.5
 final_time = 0.1
 
 [initial]
@@ -340,6 +340,45 @@ def test_dtmax_sweep_command(tmp_path, capsys):
     assert "spectral dt" in captured
 
 
+@pytest.mark.parametrize("command, unused", [
+    ("bound", "[time] dt, [time] safety, [time] final_time, [initial] name, "
+              "[output] energy_every, [output] fields"),
+    ("dtmax-sweep", "[time] dt, [time] safety, [output] energy_every, [output] fields"),
+    ("simulate", None),
+], ids=["bound", "dtmax-sweep", "simulate"])
+def test_keys_a_command_does_not_use_are_noted(tmp_path, capsys, command, unused):
+    cfg = str(SHIPPED_CONFIGS / "pec_cavity.cfg")
+    out = out_flag(command, tmp_path / "out")
+    assert main([command, "--config", cfg] + out) == 0
+    note = f"note: {cfg}: {command} does not use {unused}\n" if unused else ""
+    assert capsys.readouterr().err == note
+    # a file that sets only keys the command uses gets no note
+    used = PEC_CONFIG.split("[time]")[0]
+    if command != "bound":
+        used += "[time]\nfinal_time = 1.0\n[initial]\nname = pec_cosine\n"
+    assert main([command, "--config", write(tmp_path, "used.cfg", used)] + out) == 0
+    assert capsys.readouterr().err == ""
+
+
+def config_pairs(path):
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
+    parser.read(path)
+    return [(section, key) for section in parser.sections()
+            for key in parser.options(section)]
+
+
+def test_readme_config_block_sets_what_simulate_reads(tmp_path):
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("### Config format")[1].split("```ini\n")[1].split("```")[0]
+    assert "final_time = 1.0\n" in block
+    cfg = write(tmp_path, "readme.cfg",
+                block.replace("final_time = 1.0\n", "final_time = 0.01\n"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert config_pairs(out / "effective.cfg") == config_pairs(cfg)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--threads", "2"],
     ["bound", "--tol", "0.1"],
@@ -406,6 +445,10 @@ def test_parse_config_rejects_unused_keys(tmp_path):
     text = PEC_CONFIG.replace("name = pec_cosine", "name = pec_cosine\nhz = sin(x)")
     with pytest.raises(ConfigError, match=r"unknown or unused \[initial\] keys: hz"):
         parse_config(write(tmp_path, "unused.cfg", text))
+    # safety scales only dt = auto
+    text = PEC_CONFIG.replace("dt = auto", "dt = 0.01")
+    with pytest.raises(ConfigError, match=r"unknown or unused \[time\] keys: safety"):
+        parse_config(write(tmp_path, "safety.cfg", text))
 
 
 # (bc, alpha) of each shipped table config; each runs its table's whole grid
@@ -544,6 +587,11 @@ BAD_INITIAL = {
 ] + [
     pytest.param("simulate", PEC_CONFIG.replace("safety = 0.5", "safety = 0"), [],
                  id="simulate-safety0"),
+] + [
+    pytest.param(command, PEC_CONFIG.replace("dt = auto", "dt = 0.01"), [],
+                 id=f"{command}-safety-beside-dt")
+    for command in ("simulate", "bound", "dtmax-sweep")
+] + [
     pytest.param("dtmax-sweep", PEC_CONFIG, ["--tol", "0.5"], id="dtmax-sweep-tol-flag"),
     pytest.param("dtmax-sweep", PEC_CONFIG.replace(*BAD_SIMULATION_VALUES["energy_every0"]),
                  [], id="dtmax-sweep-energy_every0"),
@@ -566,6 +614,14 @@ BAD_INITIAL = {
                  id="table-orders0"),
     pytest.param("table", TABLE_SPEC.replace("orders = 1", "orders = 1 16"), [],
                  id="table-orders16"),
+    pytest.param("table", TABLE_SPEC.replace("cells = 5", "cells ="), [],
+                 id="table-cells-empty"),
+    pytest.param("table", TABLE_SPEC.replace("orders = 1", "orders ="), [],
+                 id="table-orders-empty"),
+    pytest.param("table", TABLE_SPEC.replace("cells = 5", "cells = 5 2 5"), [],
+                 id="table-cells-repeated"),
+    pytest.param("table", TABLE_SPEC.replace("orders = 1", "orders = 1 1"), [],
+                 id="table-orders-repeated"),
     pytest.param("table", TABLE_SPEC.replace("flux = upwind", "alpha = 1.5"), [],
                  id="table-alpha"),
     pytest.param("table", TABLE_SPEC + "final_time = 0\n", [],

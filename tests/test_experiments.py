@@ -261,9 +261,15 @@ def test_run_table_runs_the_benchmark_case(monkeypatch):
             assert got == want, field.name
 
 
-def test_run_table_empty_orders():
-    spec = SweepSpec(cells=[5], orders=[], alpha=0.0, bc="PEC")
-    assert run_table(spec) == []
+@pytest.mark.parametrize("cells, orders, match", [
+    ([], [1], "cells must be a nonempty list"),
+    ([5], [], "orders must be a nonempty list"),
+    ([5, 2, np.int64(5)], [1], "cells must be .* no repeated entry"),
+    ([5], [1, 2, 1], "orders must be .* no repeated entry"),
+], ids=["cells-empty", "orders-empty", "cells-repeated", "orders-repeated"])
+def test_sweep_spec_refuses_empty_or_repeated_lists(cells, orders, match):
+    with pytest.raises(DomainError, match=match):
+        SweepSpec(cells=cells, orders=orders, alpha=0.0, bc="PEC")
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, "5"])
