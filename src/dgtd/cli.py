@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate, bound, dtmax-sweep, table. Exit codes: 0 success,
-2 configuration error, 3 blowup during simulate, 4 internal error.
+2 configuration error, 3 blowup during simulate, 4 internal error or a
+search that could not bracket dt_max (any failed table row).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import traceback
 from .config import parse_config, parse_table_spec
 from .errors import ConfigError, DgtdError, DomainError, MaterialError, MeshError
 from .experiments import (
+    DEFAULT_TOL,
     StabilityCase,
     cfl_constant,
     find_dtmax,
@@ -48,10 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="path to config file")
 
-    def tolerance(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help="relative bisection tolerance override")
-
     p_sim = sub.add_parser("simulate", help="run one simulation")
     common(p_sim)
 
@@ -65,11 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dtmax = sub.add_parser("dtmax-sweep",
                              help="bisect the maximum stable dt for one case")
     common(p_dtmax)
-    tolerance(p_dtmax)
+    p_dtmax.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                         help="relative bisection tolerance")
 
     p_table = sub.add_parser("table", help="regenerate a CFL table as CSV")
     common(p_table)
-    tolerance(p_table)
     for p in (p_sim, p_bound, p_table):  # the commands that write files
         p.add_argument("--out", default=".", help="output directory")
     return parser
@@ -181,7 +179,7 @@ def _cmd_bound(args) -> int:
 def _cmd_dtmax(args) -> int:
     cfg = parse_config(args.config)
     case = _build_case(cfg)
-    search = find_dtmax(case) if args.tol is None else find_dtmax(case, tol=args.tol)
+    search = find_dtmax(case, tol=args.tol)
     _note_unused(args, cfg, _DTMAX_USES)
     c = cfl_constant(search.dt_max, case.order, case.mesh.h_min)
     print(f"h_min        = {case.mesh.h_min!r}")
@@ -195,8 +193,6 @@ def _cmd_dtmax(args) -> int:
 
 def _cmd_table(args) -> int:
     spec = parse_table_spec(args.config)
-    if args.tol is not None:
-        spec = dataclasses.replace(spec, tol=args.tol)
 
     def progress(row):
         if row.error is None:
@@ -210,7 +206,8 @@ def _cmd_table(args) -> int:
     path = os.path.join(args.out, table_filename(spec.bc, spec.alpha))
     write_table_csv(rows, path)
     print(f"wrote {path}")
-    return EXIT_OK
+    # a row that could not bracket dt_max fails the table, as it fails dtmax-sweep
+    return EXIT_INTERNAL if any(row.error is not None for row in rows) else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -53,7 +53,8 @@ name, or for custom the compiled f(x, y, dt). Nothing else in a config
 is evaluated, and `%` is read literally (no interpolation).
 
 A table sweep file holds only a `[sweep]` section with `cells`, `orders`,
-`flux` (central or upwind) or `alpha`, `bc` and `tol`. Each of its rows is
+`alpha` (0 central, 1 upwind; default 0), `bc` and `tol` (default
+`experiments.DEFAULT_TOL`). Each of its rows is
 `experiments.benchmark_case`, so it sets no material, final time or
 energy threshold.
 """
@@ -71,7 +72,7 @@ import numpy as np
 
 from .dg_core import normalize_bc
 from .errors import ConfigError
-from .experiments import BENCHMARK_EPS, SweepSpec
+from .experiments import BENCHMARK_EPS, DEFAULT_TOL, SweepSpec
 from .leapfrog import (DEFAULT_BLOWUP_FACTOR, INITIAL_CONDITIONS,
                        default_initial_condition)
 from .materials import MaterialMap, PermittivityTensor
@@ -219,12 +220,10 @@ class _Reader:
         raw = self.get(section, key)
         if raw is None:
             return self.note(section, key, default)
-        low = raw.lower()
-        if low in ("true", "yes", "on", "1"):
-            return self.note(section, key, True)
-        if low in ("false", "no", "off", "0"):
-            return self.note(section, key, False)
-        raise ConfigError(f"{self.path}: bad boolean for [{section}] {key}: {raw!r}")
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+        if value is None:
+            raise ConfigError(f"{self.path}: bad boolean for [{section}] {key}: {raw!r}")
+        return self.note(section, key, value)
 
     def get_list(self, section, key, caster, required=False):
         raw = self.get(section, key, required=required)
@@ -392,19 +391,9 @@ def parse_table_spec(path) -> SweepSpec:
     fields = {
         "cells": reader.get_list("sweep", "cells", int, required=True),
         "orders": reader.get_list("sweep", "orders", int, required=True),
+        "alpha": reader.get_float("sweep", "alpha", 0.0),
         "bc": reader.get("sweep", "bc", required=True),
+        "tol": reader.get_float("sweep", "tol", DEFAULT_TOL),
     }
-    flux = reader.get("sweep", "flux")
-    if flux is not None:
-        if reader.has("sweep", "alpha"):
-            raise ConfigError(f"{path}: give [sweep] flux or alpha, not both")
-        if flux not in ("central", "upwind"):
-            raise ConfigError(f"{path}: flux must be central or upwind")
-        fields["alpha"] = 0.0 if flux == "central" else 1.0
-    else:
-        fields["alpha"] = reader.get_float("sweep", "alpha", 0.0)
-    tol = reader.get_float("sweep", "tol")
-    if tol is not None:
-        fields["tol"] = tol
     reader.reject_unread()
     return SweepSpec(**fields)

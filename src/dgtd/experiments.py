@@ -42,6 +42,8 @@ from .stability import StabilityConstants, spectral_dt, theoretical_bound
 
 DT_CAP = 10.0
 MAX_HALVINGS = 60
+# relative bisection tolerance of a dt_max search, a sweep and dtmax-sweep
+DEFAULT_TOL = 1e-2
 # Lanczos tolerance of the start estimate: the search reads only its power
 # of two, and a Ritz value can only put it above the limit, where the
 # worst case is one extra unstable run, which stops early.
@@ -102,7 +104,9 @@ def classify_stability(dt: float, case: StabilityCase) -> bool:
     The energy is checked after every step and the run stops at the first
     value above that or the first non-finite one, so a run that completes
     is stable. A dt too large to complete even one step before final_time
-    proves nothing and classifies as unstable.
+    proves nothing and classifies as unstable. An initial state of zero
+    energy has no verdict, since no energy exceeds a multiple of zero: it
+    raises DomainError.
     """
     config = RunConfig(dt=dt, final_time=case.final_time,
                        record_energy_every=1,
@@ -111,7 +115,11 @@ def classify_stability(dt: float, case: StabilityCase) -> bool:
         return False
     state0 = initial_conditions(case.initial, case.mesh, case.elem,
                                 case.materials, dt)
-    return run(state0, case.op, config).completed
+    result = run(state0, case.op, config)
+    if result.energy[0, 2] == 0.0:
+        raise DomainError("the initial state has zero energy, so no run "
+                          "can be classified stable or unstable")
+    return result.completed
 
 
 @dataclass
@@ -128,7 +136,7 @@ def check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must lie in (0, 0.1], got {tol}")
 
 
-def find_dtmax(case: StabilityCase, tol: float = 1e-2) -> DtMaxSearch:
+def find_dtmax(case: StabilityCase, tol: float = DEFAULT_TOL) -> DtMaxSearch:
     """Largest stable time step, located by bracketing plus bisection.
 
     Bracketing starts from the largest doubling theory * 2^k of the
@@ -197,7 +205,7 @@ class SweepSpec:
     orders: list[int]
     alpha: float
     bc: str
-    tol: float = 1e-2
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         # FluxParams owns the alpha range and the bc spellings
@@ -243,14 +251,16 @@ def _run_one(spec: SweepSpec, cells: int, order: int) -> SweepRow:
         row.dt_max = search.dt_max
         row.c = cfl_constant(search.dt_max, order, case.mesh.h_min)
         row.theory_bound = search.theory_bound
-    except Exception as exc:  # record, keep the rest of the table going
+    except SweepError as exc:  # record, keep the rest of the table going
         row.error = f"{type(exc).__name__}: {exc}"
     return row
 
 
 def run_table(spec: SweepSpec,
               progress: Callable[[SweepRow], None] | None = None) -> list[SweepRow]:
-    """Run the whole (cells x orders) grid; failures are recorded per row."""
+    """Run the whole (cells x orders) grid. A search that cannot bracket
+    dt_max (SweepError) is recorded in its row's `error` and the grid goes
+    on; any other exception propagates."""
     rows = []
     for cells in spec.cells:
         for order in spec.orders:

@@ -62,10 +62,14 @@ def step(state: FieldState, op: SpatialOperator, dt: float) -> FieldState:
     Under a penalised flux (some alpha > 0) the E update reads n x [E] at
     the current level: a state from `run` brings it; for any other, it is
     gathered here.
-    The input arrays are left unchanged; the new fields are new, writable
-    Fortran-order arrays. Raises BlowupDetected, carrying the index of
-    the step it would have made, if non-finite values appear.
+    dt must be the state's own dt, so that its times stay step * dt:
+    ConfigError otherwise. The input arrays are left unchanged; the new
+    fields are new, writable Fortran-order arrays. Raises BlowupDetected,
+    carrying the index of the step it would have made, if non-finite
+    values appear.
     """
+    if dt != state.dt:
+        raise ConfigError(f"step dt {dt!r} differs from the state's dt {state.dt!r}")
     hz_jump = op.hz_jump(state.Hz)
     e_cross = getattr(state, "e_cross", None)
     if e_cross is None and op.penalised:
@@ -161,7 +165,8 @@ def run(state0: FieldState, op: SpatialOperator, config: RunConfig) -> RunResult
     record_energy_every steps, and the last) whose energy exceeds
     blowup_factor times its initial value; the energy between recorded
     steps is not checked. Overflow on the way to a blowup is that status,
-    so numpy does not warn about it.
+    so numpy does not warn about it. config.dt must be state0.dt (see
+    `step`).
     """
     mesh, materials, elem = op.mesh, op.materials, op.elem
     state = _RunState(state0.Ex, state0.Ey, state0.Hz, state0.dt, state0.step)

@@ -340,6 +340,21 @@ def test_dtmax_sweep_command(tmp_path, capsys):
     assert "spectral dt" in captured
 
 
+@pytest.mark.parametrize("initial", ["name = zero", "name = custom\nhz = 0 * x"],
+                         ids=["zero", "custom-0x"])
+def test_zero_initial_state_has_no_dtmax(tmp_path, capsys, initial):
+    # no energy exceeds a multiple of zero, so every run would read stable
+    text = PEC_CONFIG.replace("cells = 5", "cells = 4").replace("name = pec_cosine", initial)
+    assert main(["dtmax-sweep", "--config", write(tmp_path, "run.cfg", text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "zero energy" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    # simulate still runs from a zero seed
+    short = write(tmp_path, "short.cfg", text.replace("final_time = 1.0", "final_time = 0.05"))
+    assert main(["simulate", "--config", short, "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("command, unused", [
     ("bound", "[time] dt, [time] safety, [time] final_time, [initial] name, "
               "[output] energy_every, [output] fields"),
@@ -386,6 +401,7 @@ def test_readme_config_block_sets_what_simulate_reads(tmp_path):
     ["dtmax-sweep", "--threads", "2"],
     ["dtmax-sweep", "--out", "d"],
     ["table", "--threads", "2"],
+    ["table", "--tol", "0.05"],  # the spec file's tol is the one source
 ])
 def test_unused_flags_are_refused(tmp_path, capsys, argv):
     cfg = write(tmp_path, "run.cfg", PEC_CONFIG)
@@ -401,7 +417,7 @@ def test_table_command(tmp_path, capsys):
 [sweep]
 cells = 5
 orders = 1
-flux = upwind
+alpha = 1.0
 bc = PEC
 tol = 0.05
 """)
@@ -451,6 +467,29 @@ def test_parse_config_rejects_unused_keys(tmp_path):
         parse_config(write(tmp_path, "safety.cfg", text))
 
 
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("Yes", True), ("true", True), ("on", True),
+    ("0", False), ("no", False), ("FALSE", False), ("off", False), ("maybe", None),
+])
+def test_boolean_words(tmp_path, word, value):
+    cfg = write(tmp_path, "run.cfg", PEC_CONFIG + f"[output]\nfields = {word}\n")
+    if value is None:
+        with pytest.raises(ConfigError, match=r"bad boolean for \[output\] fields: 'maybe'"):
+            parse_config(cfg)
+    else:
+        assert parse_config(cfg).fields_out is value
+
+
+def test_one_default_tolerance():
+    import inspect
+
+    from dgtd.experiments import DEFAULT_TOL, find_dtmax
+
+    assert _build_parser().parse_args(["dtmax-sweep", "--config", "c"]).tol == DEFAULT_TOL
+    assert inspect.signature(find_dtmax).parameters["tol"].default == DEFAULT_TOL
+    assert SweepSpec(cells=[5], orders=[1], alpha=0.0, bc="PEC").tol == DEFAULT_TOL
+
+
 # (bc, alpha) of each shipped table config; each runs its table's whole grid
 SHIPPED_TABLES = {
     "table_pec_central.cfg": ("PEC", 0.0),
@@ -497,9 +536,6 @@ def test_parse_config_custom_initial(tmp_path):
 def test_parse_table_spec_errors(tmp_path):
     with pytest.raises(ConfigError):
         parse_table_spec(write(tmp_path, "t1.cfg", "[sweep]\norders = 1\nbc = PEC\n"))
-    with pytest.raises(ConfigError):
-        parse_table_spec(write(tmp_path, "t2.cfg",
-                               "[sweep]\ncells = 5\norders = 1\nbc = PEC\nflux = fancy\n"))
     with pytest.raises(ConfigError, match="blowup_factor"):
         parse_table_spec(write(tmp_path, "t4.cfg",
                                "[sweep]\ncells = 5\norders = 1\nbc = PEC\nblowup_factor = 1e6\n"))
@@ -507,11 +543,9 @@ def test_parse_table_spec_errors(tmp_path):
         with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]"):
             parse_table_spec(write(tmp_path, "t6.cfg", "[sweep]\ncells = 5\norders = 1\n"
                                    f"bc = PEC\n[{section}]\n{key}\n"))
-    with pytest.raises(ConfigError, match="not both"):
-        parse_table_spec(write(tmp_path, "t5.cfg",
-                               "[sweep]\ncells = 5\norders = 1\nbc = PEC\nflux = upwind\nalpha = 0.5\n"))
-    for key in ("diagonal = backslash", "initial = zero", "final_time = 1.0",
-                "bounded_factor = 5.0"):
+    # alpha is the one spelling of the flux, as in [discretization]
+    for key in ("flux = upwind", "flux = fancy", "diagonal = backslash",
+                "initial = zero", "final_time = 1.0", "bounded_factor = 5.0"):
         with pytest.raises(ConfigError, match=r"unknown or unused \[sweep\] keys: "
                                               + key.split()[0]):
             parse_table_spec(write(tmp_path, "t7.cfg",
@@ -520,7 +554,6 @@ def test_parse_table_spec_errors(tmp_path):
 [sweep]
 cells = 5, 10
 orders = 1 2 3
-flux = central
 bc = SM
 """))
     assert spec.cells == [5, 10]
@@ -548,7 +581,7 @@ def test_material_table_config(tmp_path):
                            text.replace(f"table = {table}", f"table = {table}\nmu = 7.0")))
 
 
-TABLE_SPEC = "[sweep]\ncells = 5\norders = 1\nflux = upwind\nbc = PEC\ntol = 0.05\n"
+TABLE_SPEC = "[sweep]\ncells = 5\norders = 1\nalpha = 1.0\nbc = PEC\ntol = 0.05\n"
 BAD_SIMULATION_VALUES = {
     "order0": ("order = 1", "order = 0"),
     "cells0": ("cells = 5", "cells = 0"),
@@ -603,7 +636,6 @@ BAD_INITIAL = {
                  id="bound-h-min-3d-negative"),
     pytest.param("bound", PEC_CONFIG, ["--h-min-3d", "0.25"],
                  id="bound-h-min-3d-without-three-d"),
-    pytest.param("table", TABLE_SPEC, ["--tol", "0.5"], id="table-tol-flag"),
     pytest.param("table", TABLE_SPEC.replace("tol = 0.05", "tol = 0.5"), [],
                  id="table-tol-key"),
     pytest.param("table", TABLE_SPEC + "bounded_factor = 0.5\n", [],
@@ -622,8 +654,10 @@ BAD_INITIAL = {
                  id="table-cells-repeated"),
     pytest.param("table", TABLE_SPEC.replace("orders = 1", "orders = 1 1"), [],
                  id="table-orders-repeated"),
-    pytest.param("table", TABLE_SPEC.replace("flux = upwind", "alpha = 1.5"), [],
+    pytest.param("table", TABLE_SPEC.replace("alpha = 1.0", "alpha = 1.5"), [],
                  id="table-alpha"),
+    pytest.param("table", TABLE_SPEC.replace("alpha = 1.0", "flux = upwind"), [],
+                 id="table-unknown-flux"),
     pytest.param("table", TABLE_SPEC + "final_time = 0\n", [],
                  id="table-unknown-final_time0"),
     pytest.param("table", TABLE_SPEC + "final_time = nan\n", [],
@@ -642,6 +676,23 @@ def test_bad_values_exit_2_and_write_nothing(tmp_path, capsys, command, text, fl
     assert "Traceback" not in captured.err
     assert captured.out == ""  # refused before any row, report or auto dt
     assert not out.exists()
+
+
+def test_table_with_a_failed_row_exits_4(tmp_path, capsys, monkeypatch):
+    import dgtd.experiments as experiments
+
+    # always stable: doubling reaches DT_CAP and each search raises SweepError
+    monkeypatch.setattr(experiments, "classify_stability", lambda dt, case: True)
+    spec = write(tmp_path, "table.cfg", TABLE_SPEC.replace("orders = 1", "orders = 1 2"))
+    out = tmp_path / "out"
+    assert main(["table", "--config", spec, "--out", str(out)]) == 4
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split("FAILED: ")[1] for line in printed[:2]] == [
+        f"SweepError: no unstable time step found below the cap {experiments.DT_CAP}"] * 2
+    assert printed[2].startswith("wrote ")
+    lines = (out / "table_pec_upwind.csv").read_text().splitlines()
+    assert [line.split(",")[1:] for line in lines[1:]] == [
+        [order, "nan", "nan", "nan"] for order in ("1", "2")]
 
 
 @pytest.mark.parametrize("command", ["simulate", "dtmax-sweep"])

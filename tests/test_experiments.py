@@ -6,6 +6,7 @@ import pytest
 
 from dgtd import (
     BENCHMARK_EPS,
+    MaterialMap,
     StabilityCase,
     SweepSpec,
     benchmark_case,
@@ -14,6 +15,7 @@ from dgtd import (
     find_dtmax,
     run_table,
     spectral_dt,
+    structured_square_mesh,
     write_table_csv,
 )
 from dgtd.errors import DomainError, SweepError
@@ -35,6 +37,16 @@ def test_classify_reference_bracket(coarse_case):
     # stability flips between the reference stable/unstable step sizes
     assert classify_stability(0.17, coarse_case) is True
     assert classify_stability(0.20, coarse_case) is False
+
+
+@pytest.mark.parametrize("initial", ["zero", lambda x, y, dt: 0.0 * x],
+                         ids=["zero", "callable"])
+def test_classify_refuses_a_zero_initial_state(initial):
+    mesh = structured_square_mesh(4)
+    mats = MaterialMap.uniform(mesh.n_elements, BENCHMARK_EPS, 1.0)
+    case = StabilityCase(mesh, mats, 1, 0.0, "PEC", initial=initial)
+    with pytest.raises(DomainError, match="zero energy"):
+        classify_stability(0.05, case)
 
 
 def test_unstable_run_stops_at_bounded_factor(coarse_case, monkeypatch):
@@ -215,6 +227,17 @@ def test_run_table_grid_and_csv(tmp_path):
     assert path.name == "table_pec_upwind.csv"
 
 
+def test_run_table_propagates_errors_other_than_sweep_errors(monkeypatch):
+    import dgtd.experiments as experiments
+
+    def broken(dt, case):
+        raise RuntimeError("broken classifier")
+
+    monkeypatch.setattr(experiments, "classify_stability", broken)
+    with pytest.raises(RuntimeError, match="broken classifier"):
+        run_table(SweepSpec(cells=[5], orders=[1], alpha=0.0, bc="PEC"))
+
+
 def _searched_cases(monkeypatch):
     """Make find_dtmax record (case, tol) and return a fixed search."""
     import dgtd.experiments as experiments
@@ -291,7 +314,7 @@ def test_flux_names():
 
 def test_pmc_case_respects_theory_bound():
     # PMC is not part of the benchmark tables but shares the machinery
-    from dgtd import MaterialMap, PermittivityTensor, structured_square_mesh
+    from dgtd import PermittivityTensor
 
     mesh = structured_square_mesh(5)
     mats = MaterialMap.uniform(mesh.n_elements,

@@ -60,6 +60,18 @@ def test_zero_dt_is_identity():
     assert nxt.time_E == 0.0
 
 
+def test_step_refuses_a_dt_other_than_the_states():
+    mesh, elem, mats, op = build_setup(cells=5, order=1)
+    state = initial_conditions("pec_cosine", mesh, elem, mats, 0.01)
+    # a mixed step would report time_E 0.05 for fields advanced by 0.05 from
+    # a state whose Hz was sampled for dt 0.01
+    with pytest.raises(ConfigError, match="differs from the state's dt"):
+        step(state, op, 0.05)
+    with pytest.raises(ConfigError, match="differs from the state's dt"):
+        run(state, op, RunConfig(dt=0.02, final_time=0.1))
+    assert step(state, op, 0.01).time_E == 0.01
+
+
 def test_staggered_times_track_step_index():
     mesh, elem, mats, op = build_setup(order=1)
     dt = 0.001
