@@ -44,9 +44,7 @@ from .materials import (
     FaceImpedance,
     MaterialMap,
     PermittivityTensor,
-    effective_permittivity,
     face_impedances,
-    wave_speed,
 )
 from .mesh import (
     Mesh2D,

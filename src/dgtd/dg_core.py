@@ -108,15 +108,17 @@ def _by_face(a: np.ndarray) -> np.ndarray:
 
 def _impedance_weights(imp: FaceImpedance, mesh: Mesh2D, materials: MaterialMap):
     """1/(z+ + z-), 1/((y+ + y-) mu) and their z+, y+ multiples, each times
-    edge_length/(2 J), the factor with which face integrals enter LIFT.
+    edge_length/(2 J), the factor with which face integrals enter LIFT;
+    y = 1/z on each side.
 
     A function of its own so that the impedance arrays are freed before
     the operator builds its stacked coefficients.
     """
     fscale = mesh.edge_length / (2.0 * mesh.jac[:, None])
     z_w = fscale / (imp.z_plus + imp.z_minus)
-    y_w = fscale / ((imp.y_plus + imp.y_minus) * materials.mu[:, None])
-    return z_w, y_w, imp.z_plus * z_w, imp.y_plus * y_w
+    y_plus = 1.0 / imp.z_plus
+    y_w = fscale / ((y_plus + 1.0 / imp.z_minus) * materials.mu[:, None])
+    return z_w, y_w, imp.z_plus * z_w, y_plus * y_w
 
 
 class SpatialOperator:
@@ -128,8 +130,6 @@ class SpatialOperator:
 
     def __init__(self, mesh: Mesh2D, materials: MaterialMap,
                  elem: ReferenceElement, flux: FluxParams):
-        if materials.n_elements != mesh.n_elements:
-            raise MeshError("material map does not match mesh size")
         self.mesh = mesh
         self.materials = materials
         self.elem = elem

@@ -218,10 +218,12 @@ def initial_conditions(name, mesh: Mesh2D, elem: ReferenceElement,
                        materials: MaterialMap, dt: float) -> FieldState:
     """Sample a named initial state: E at t = 0, Hz at t = dt/2.
 
-    "pec_cosine" is the standing-mode seed cos(pi x) cos(pi y) cos(w dt/2)
-    with w = pi sqrt(1/eps_xx + 1/eps_yy) taken from the first element's
-    tensor; "sm_sine" is sin(pi dt/2) sin(pi x y); "zero" is the zero
-    state. A callable f(x, y, dt) may be passed instead to fill Hz.
+    "pec_cosine" is the seed cos(pi x) cos(pi y) cos(w dt/2) with
+    w = standing_mode_frequency(materials). On the PEC square (-1, 1)^2 it
+    is a standing mode only for a diagonal tensor with mu = 1; on the
+    tables' (5, 1; 1, 3) it is only a seed, since w ignores eps_xy and mu.
+    "sm_sine" is sin(pi dt/2) sin(pi x y); "zero" is the zero state. A
+    callable f(x, y, dt) may be passed instead to fill Hz.
     """
     x, y = mesh.map_reference_nodes(elem.r, elem.s)
     if callable(name):
@@ -236,7 +238,12 @@ def initial_conditions(name, mesh: Mesh2D, elem: ReferenceElement,
 
 
 def standing_mode_frequency(materials: MaterialMap) -> float:
-    """pi * sqrt(1/eps_xx + 1/eps_yy) from the first element's tensor."""
+    """pi * sqrt(1/eps_xx + 1/eps_yy) from the first element's tensor.
+
+    The frequency of the pec_cosine mode for a diagonal tensor with
+    mu = 1. It ignores eps_xy and mu, so for any other material, the
+    tables' (5, 1; 1, 3) among them, pec_cosine is a seed, not a mode.
+    """
     exx = materials.eps[0, 0, 0]
     eyy = materials.eps[0, 1, 1]
     return math.pi * math.sqrt(1.0 / exx + 1.0 / eyy)

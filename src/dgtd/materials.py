@@ -1,20 +1,14 @@
 """Per-element material tensors and the face-wise flux coefficients.
 
 The permittivity is a symmetric positive-definite 2x2 tensor, constant on
-each element; the permeability is a positive scalar per element. The
-directional wave speed along a unit normal n is
-
-    c = sqrt(n^T eps n / (mu * det eps)),
-
-equivalently c = 1/sqrt(mu * eps_eff) with the effective permittivity
-eps_eff = det(eps) / (n^T eps n). Face impedances are Z = mu * c and
-conductances Y = 1/Z; at outer boundaries the exterior side copies the
-interior one (Z+ = Z-).
+each element; the permeability is a positive scalar per element.
+`face_impedances` states the face impedance Z = mu c, c the directional
+wave speed along the face's unit normal, once for every face; the flux
+and the bound take the conductance Y = 1/Z from it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +32,6 @@ class PermittivityTensor:
     def as_array(self) -> np.ndarray:
         return np.array([[self.xx, self.xy], [self.yx, self.yy]])
 
-    def eigenvalues(self) -> tuple[float, float]:
-        """(min, max) eigenvalue, in closed form."""
-        mean = 0.5 * (self.xx + self.yy)
-        rad = math.hypot(0.5 * (self.xx - self.yy), self.xy)
-        return mean - rad, mean + rad
-
     @staticmethod
     def isotropic(value: float) -> "PermittivityTensor":
         return PermittivityTensor(value, 0.0, 0.0, value)
@@ -64,41 +52,6 @@ def _check_permittivity(eps: np.ndarray) -> np.ndarray:
     return det
 
 
-def _check_permeability(mu) -> None:
-    """MaterialError unless every permeability is finite and positive."""
-    mu = np.asarray(mu, dtype=float)
-    if not np.isfinite(mu).all():
-        raise MaterialError("permeability must be finite")
-    if np.any(mu <= 0.0):
-        raise MaterialError("permeability must be positive")
-
-
-def effective_permittivity(eps, n) -> float:
-    """det(eps) / (n^T eps n) for a unit normal n."""
-    e = _tensor_array(eps)
-    det = float(_check_permittivity(e))
-    n = np.asarray(n, dtype=float)
-    quad = float(n @ e @ n)
-    if not quad > 0.0:
-        raise MaterialError(f"normal must be nonzero and finite, got {n}")
-    return det / quad
-
-
-def wave_speed(eps, mu: float, n) -> float:
-    """Directional wave speed sqrt(n^T eps n / (mu det eps))."""
-    _check_permeability(mu)
-    return 1.0 / math.sqrt(mu * effective_permittivity(eps, n))
-
-
-def _tensor_array(eps) -> np.ndarray:
-    if isinstance(eps, PermittivityTensor):
-        return eps.as_array()
-    e = np.asarray(eps, dtype=float)
-    if e.shape != (2, 2):
-        raise MaterialError(f"expected a 2x2 tensor, got shape {e.shape}")
-    return e
-
-
 class MaterialMap:
     """Element-wise permittivity tensors and permeabilities for a mesh."""
 
@@ -108,7 +61,10 @@ class MaterialMap:
         if eps.ndim != 3 or eps.shape[1:] != (2, 2) or mu.shape != (eps.shape[0],):
             raise MaterialError("eps must be (K,2,2) and mu (K,)")
         det = _check_permittivity(eps)
-        _check_permeability(mu)
+        if not np.isfinite(mu).all():
+            raise MaterialError("permeability must be finite")
+        if np.any(mu <= 0.0):
+            raise MaterialError("permeability must be positive")
 
         self.eps = eps
         self.mu = mu
@@ -131,11 +87,11 @@ class MaterialMap:
         return len(self.mu)
 
     @staticmethod
-    def uniform(n_elements: int, eps, mu: float = 1.0) -> "MaterialMap":
+    def uniform(n_elements: int, eps: PermittivityTensor,
+                mu: float = 1.0) -> "MaterialMap":
         """The same tensor and permeability on every element."""
-        e = _tensor_array(eps)
         return MaterialMap(
-            np.broadcast_to(e, (n_elements, 2, 2)).copy(),
+            np.broadcast_to(eps.as_array(), (n_elements, 2, 2)).copy(),
             np.full(n_elements, float(mu)),
         )
 
@@ -168,12 +124,11 @@ class MaterialMap:
 
 @dataclass(frozen=True)
 class FaceImpedance:
-    """Impedance and conductance of both sides of every edge, (K,3)."""
+    """Impedance of both sides of every edge, (K,3). The conductance is
+    its reciprocal, Y = 1/Z, formed where it is used."""
 
     z_minus: np.ndarray
     z_plus: np.ndarray
-    y_minus: np.ndarray
-    y_plus: np.ndarray
 
     @property
     def z_min(self) -> float:
@@ -181,14 +136,20 @@ class FaceImpedance:
 
     @property
     def y_min(self) -> float:
-        return float(self.y_minus.min())
+        return float((1.0 / self.z_minus).min())
 
 
 def face_impedances(materials: MaterialMap, mesh: Mesh2D) -> FaceImpedance:
-    """Z and Y seen from both sides of each face, with Z+ = Z- on the boundary.
+    """Z seen from both sides of each face, with Z+ = Z- on the boundary.
 
-    The exterior values come from the neighboring element evaluated with
-    the same face normal (the quadratic form is orientation-invariant).
+    Along a face's unit normal n an element has the directional wave speed
+
+        c = sqrt(n^T eps n / (mu * det eps)) = 1 / sqrt(mu * eps_eff),
+
+    with the effective permittivity eps_eff = det(eps) / (n^T eps n), and
+    the face impedance Z = mu c. The exterior values come from the
+    neighboring element evaluated with the same face normal (the quadratic
+    form is orientation-invariant).
     """
     if materials.n_elements != mesh.n_elements:
         raise MaterialError("material map does not match mesh size")
@@ -201,9 +162,4 @@ def face_impedances(materials: MaterialMap, mesh: Mesh2D) -> FaceImpedance:
     nbrf = np.where(interior, mesh.neighbor_face, 0)
     z_plus = np.where(interior, z_minus[nbr, nbrf], z_minus)
 
-    return FaceImpedance(
-        z_minus=z_minus,
-        z_plus=z_plus,
-        y_minus=1.0 / z_minus,
-        y_plus=1.0 / z_plus,
-    )
+    return FaceImpedance(z_minus=z_minus, z_plus=z_plus)

@@ -264,7 +264,9 @@ def build_reference_element(order: int) -> ReferenceElement:
     n_fp = order + 1
 
     # All three edges carry the same symmetric Gauss-Lobatto distribution,
-    # so a single edge mass matrix serves.
+    # but the edge coordinates _face_nodes returns, and so the three edge
+    # mass matrices, agree only to round-off. LIFT builds each edge's own
+    # matrix; face_mass_1d is edge 0's, kept for demo 01 and the tests.
     v1 = vandermonde_1d(order, face_params[0])
     face_mass = np.linalg.inv(v1 @ v1.T)
 

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .dg_core import BC_PEC, BC_PMC, BC_SM, SpatialOperator, normalize_bc
+from .dg_core import BC_PEC, BC_PMC, SpatialOperator, normalize_bc
 from .errors import DomainError
 from .materials import MaterialMap, face_impedances
 from .mesh import Mesh2D

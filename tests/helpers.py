@@ -77,6 +77,13 @@ def random_spd_tensor(rng, scale: float = 1.0) -> np.ndarray:
     return scale * (a @ a.T + 0.3 * np.eye(2))
 
 
+def wave_speed(eps, mu: float, n) -> float:
+    """Directional wave speed sqrt(n^T eps n / (mu det eps)) along a unit
+    normal n, one face at a time; the face impedance is mu times it."""
+    det = eps[0, 0] * eps[1, 1] - eps[0, 1] * eps[1, 0]
+    return np.sqrt(float(n @ eps @ n) / (mu * det))
+
+
 # ---------------------------------------------------------------------------
 # Dense quadrature-assembled DG right-hand side
 # ---------------------------------------------------------------------------
@@ -131,10 +138,7 @@ class DenseRhsOracle:
         return rs1[0] - 1.0, rs1[1] - 1.0
 
     def _wave_speed(self, k, n):
-        eps = self.materials.eps[k]
-        mu = self.materials.mu[k]
-        det = eps[0, 0] * eps[1, 1] - eps[0, 1] * eps[1, 0]
-        return np.sqrt(float(n @ eps @ n) / (mu * det))
+        return wave_speed(self.materials.eps[k], self.materials.mu[k], n)
 
     def rhs(self, ex, ey, hz):
         mesh = self.mesh

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from dgtd import (
+    FluxParams,
     MaterialError,
     MaterialMap,
     PermittivityTensor,
-    effective_permittivity,
+    SpatialOperator,
+    build_reference_element,
     face_impedances,
+    mesh_from_arrays,
     structured_square_mesh,
-    wave_speed,
+    theoretical_bound,
 )
-from helpers import random_spd_tensor
+from helpers import random_spd_tensor, wave_speed
 
 
 def test_tensor_validation():
@@ -22,68 +25,97 @@ def test_tensor_validation():
         PermittivityTensor(1.0, 2.0, 2.0, 1.0)  # negative determinant
 
 
-IDENTITY = PermittivityTensor.isotropic(1.0)
+def _one_element_map(eps=np.eye(2), mu=1.0):
+    return MaterialMap(np.asarray(eps, dtype=float)[None], np.array([mu]))
 
 
 @pytest.mark.parametrize("call, match", [
     (lambda: PermittivityTensor(np.nan, 0.0, 0.0, 1.0), "must be finite"),
     (lambda: PermittivityTensor(np.inf, 0.0, 0.0, 1.0), "must be finite"),
-    (lambda: effective_permittivity(np.array([[1.0, 5.0], [-5.0, 1.0]]), [1.0, 0.0]),
-     "not symmetric"),
-    (lambda: effective_permittivity(np.array([[1.0, 0.0], [0.0, np.nan]]), [1.0, 0.0]),
-     "must be finite"),
-    (lambda: effective_permittivity(IDENTITY, [0.0, 0.0]), "normal must be nonzero"),
-    (lambda: wave_speed(IDENTITY, np.nan, [1.0, 0.0]), "must be finite"),
-    (lambda: wave_speed(IDENTITY, np.inf, [1.0, 0.0]), "must be finite"),
-    (lambda: wave_speed(IDENTITY, 0.0, [1.0, 0.0]), "positive"),
-], ids=["tensor-nan", "tensor-inf", "array-not-symmetric", "array-nan", "zero-normal",
+    (lambda: _one_element_map([[1.0, 5.0], [-5.0, 1.0]]), "not symmetric"),
+    (lambda: _one_element_map([[1.0, 0.0], [0.0, np.nan]]), "must be finite"),
+    (lambda: _one_element_map(mu=np.nan), "permeability must be finite"),
+    (lambda: _one_element_map(mu=np.inf), "permeability must be finite"),
+    (lambda: _one_element_map(mu=0.0), "permeability must be positive"),
+], ids=["tensor-nan", "tensor-inf", "array-not-symmetric", "array-nan",
         "mu-nan", "mu-inf", "mu-zero"])
 def test_every_material_path_checks_the_tensor_and_mu(call, match):
     with pytest.raises(MaterialError, match=match):
         call()
 
 
-def test_effective_permittivity_values():
-    ident = PermittivityTensor.isotropic(1.0)
-    for n in ([1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]):
-        assert effective_permittivity(ident, n) == pytest.approx(1.0, rel=1e-14)
-    diag = PermittivityTensor(5.0, 0.0, 0.0, 3.0)
-    assert effective_permittivity(diag, [1.0, 0.0]) == pytest.approx(3.0, rel=1e-14)
-    aniso = PermittivityTensor(5.0, 1.0, 1.0, 3.0)
-    assert effective_permittivity(aniso, [1.0, 0.0]) == pytest.approx(2.8, rel=1e-14)
+def _axis_faces(mesh, axis):
+    """Mask of the faces whose unit normal is +-e_axis."""
+    return np.abs(mesh.normals[:, :, axis]) == 1.0
 
 
-def test_wave_speed_values():
-    ident = PermittivityTensor.isotropic(1.0)
-    assert wave_speed(ident, 1.0, [0.6, 0.8]) == pytest.approx(1.0, rel=1e-14)
-    aniso = PermittivityTensor(5.0, 1.0, 1.0, 3.0)
-    assert wave_speed(aniso, 1.0, [1.0, 0.0]) == pytest.approx(np.sqrt(5.0 / 14.0), rel=1e-12)
-    assert wave_speed(aniso, 1.0, [0.0, 1.0]) == pytest.approx(np.sqrt(3.0 / 14.0), rel=1e-12)
+def test_face_impedance_values():
+    # eps = (5, 1; 1, 3), det 14, mu = 1: Z = sqrt(n^T eps n / 14)
+    mesh = structured_square_mesh(3)
+    mats = MaterialMap.uniform(mesh.n_elements, PermittivityTensor(5.0, 1.0, 1.0, 3.0))
+    imp = face_impedances(mats, mesh)
+    x_faces, y_faces = _axis_faces(mesh, 0), _axis_faces(mesh, 1)
+    assert x_faces.any() and y_faces.any()
+    np.testing.assert_allclose(imp.z_minus[x_faces], np.sqrt(5.0 / 14.0), rtol=1e-14)
+    np.testing.assert_allclose(imp.z_minus[y_faces], np.sqrt(3.0 / 14.0), rtol=1e-14)
+    # a diagonal tensor along x: Z = sqrt(eps_xx / (eps_xx eps_yy)) = 1/sqrt(3)
+    diag = MaterialMap.uniform(mesh.n_elements, PermittivityTensor(5.0, 0.0, 0.0, 3.0))
+    np.testing.assert_allclose(face_impedances(diag, mesh).z_minus[x_faces],
+                               1.0 / np.sqrt(3.0), rtol=1e-14)
 
 
 def test_normal_sign_invariance():
+    # an interior face's neighbour sees it with the opposite normal, so on a
+    # uniform map z+ (the neighbour's Z) is z- evaluated at -n
     rng = np.random.default_rng(11)
-    for _ in range(50):
+    mesh = structured_square_mesh(3)
+    for _ in range(20):
         eps = random_spd_tensor(rng)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        n = np.array([np.cos(theta), np.sin(theta)])
-        mu = rng.uniform(0.2, 3.0)
-        assert effective_permittivity(eps, n) == pytest.approx(
-            effective_permittivity(eps, -n), rel=1e-14)
-        assert wave_speed(eps, mu, n) == pytest.approx(
-            wave_speed(eps, mu, -n), rel=1e-14)
+        mats = MaterialMap.uniform(
+            mesh.n_elements, PermittivityTensor(*eps.ravel()), rng.uniform(0.2, 3.0))
+        imp = face_impedances(mats, mesh)
+        np.testing.assert_allclose(imp.z_plus, imp.z_minus, rtol=1e-14)
 
 
 def test_isotropic_speed_independent_of_direction():
+    # disjoint random triangles give faces in arbitrary directions
     rng = np.random.default_rng(4)
     eps_val, mu = 2.5, 1.7
-    eps = PermittivityTensor.isotropic(eps_val)
-    for _ in range(10):
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        n = [np.cos(theta), np.sin(theta)]
-        assert effective_permittivity(eps, n) == pytest.approx(eps_val, rel=1e-14)
-        assert wave_speed(eps, mu, n) == pytest.approx(
-            1.0 / np.sqrt(mu * eps_val), rel=1e-14)
+    verts = rng.uniform(-1.0, 1.0, (30, 2))
+    mesh = mesh_from_arrays(verts, np.arange(30).reshape(10, 3), reorient=True)
+    mats = MaterialMap.uniform(mesh.n_elements, PermittivityTensor.isotropic(eps_val), mu)
+    imp = face_impedances(mats, mesh)
+    np.testing.assert_allclose(imp.z_minus, mu / np.sqrt(mu * eps_val), rtol=1e-14)
+
+
+def test_face_impedances_heterogeneous_map_matches_oracle():
+    rng = np.random.default_rng(5)
+    mesh = structured_square_mesh(4)
+    eps = np.stack([random_spd_tensor(rng) for _ in range(mesh.n_elements)])
+    mu = rng.uniform(0.2, 3.0, mesh.n_elements)
+    imp = face_impedances(MaterialMap(eps, mu), mesh)
+    oracle = np.array([[mu[k] * wave_speed(eps[k], mu[k], mesh.normals[k, f])
+                        for f in range(3)] for k in range(mesh.n_elements)])
+    np.testing.assert_allclose(imp.z_minus, oracle, rtol=1e-14)
+    assert imp.z_min == pytest.approx(oracle.min(), rel=1e-14)
+    assert imp.y_min == pytest.approx((1.0 / oracle).min(), rel=1e-14)
+    interior = mesh.neighbor >= 0
+    k, f = np.nonzero(interior)
+    np.testing.assert_array_equal(
+        imp.z_plus[interior], imp.z_minus[mesh.neighbor[k, f], mesh.neighbor_face[k, f]])
+
+
+@pytest.mark.parametrize("entry", [
+    lambda mesh, mats: face_impedances(mats, mesh),
+    lambda mesh, mats: theoretical_bound(mesh, mats, 1, 0.0, "PEC"),
+    lambda mesh, mats: SpatialOperator(mesh, mats, build_reference_element(1),
+                                       FluxParams()),
+], ids=["face_impedances", "theoretical_bound", "SpatialOperator"])
+def test_wrong_size_material_map_is_refused(entry):
+    mesh = structured_square_mesh(2)
+    mats = MaterialMap.uniform(mesh.n_elements - 1, PermittivityTensor.isotropic(1.0))
+    with pytest.raises(MaterialError, match="material map does not match mesh size"):
+        entry(mesh, mats)
 
 
 def test_material_map_bounds_and_inverse():
@@ -145,8 +177,8 @@ def test_face_impedances_homogeneous_identity():
     imp = face_impedances(mats, mesh)
     np.testing.assert_allclose(imp.z_minus, 1.0, atol=1e-14)
     np.testing.assert_allclose(imp.z_plus, 1.0, atol=1e-14)
-    np.testing.assert_allclose(imp.y_minus, 1.0, atol=1e-14)
-    np.testing.assert_allclose(imp.z_minus * imp.y_minus, 1.0, atol=1e-14)
+    assert imp.z_min == pytest.approx(1.0, rel=1e-14)
+    assert imp.y_min == pytest.approx(1.0, rel=1e-14)
 
 
 def test_face_impedances_boundary_copies_interior():
@@ -155,8 +187,7 @@ def test_face_impedances_boundary_copies_interior():
     imp = face_impedances(mats, mesh)
     boundary = mesh.neighbor < 0
     np.testing.assert_array_equal(imp.z_plus[boundary], imp.z_minus[boundary])
-    np.testing.assert_array_equal(imp.y_plus[boundary], imp.y_minus[boundary])
-    assert (imp.z_minus > 0).all() and (imp.y_minus > 0).all()
+    assert (imp.z_minus > 0).all() and np.isfinite(imp.z_minus).all()
 
 
 def test_face_impedances_two_material_jump():
@@ -164,7 +195,6 @@ def test_face_impedances_two_material_jump():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
                       [2.0, 0.0], [2.0, 1.0]])
     tris = np.array([[0, 1, 3], [1, 2, 3], [1, 4, 2], [4, 5, 2]])
-    from dgtd import mesh_from_arrays
     mesh = mesh_from_arrays(verts, tris)
     eps = np.stack([np.eye(2), np.eye(2), 4.0 * np.eye(2), 4.0 * np.eye(2)])
     mats = MaterialMap(eps, np.ones(4))
@@ -179,4 +209,6 @@ def test_face_impedances_two_material_jump():
     assert found
     assert imp.z_minus[1, f] == pytest.approx(1.0, rel=1e-14)
     assert imp.z_plus[1, f] == pytest.approx(0.5, rel=1e-14)
-    assert imp.y_plus[1, f] == pytest.approx(2.0, rel=1e-14)
+    # the extremes over all faces: Z = 0.5 on the 4I side, Y = 1/Z = 1 on the I side
+    assert imp.z_min == pytest.approx(0.5, rel=1e-14)
+    assert imp.y_min == pytest.approx(1.0, rel=1e-14)
