@@ -49,19 +49,35 @@ def _axis_faces(mesh, axis):
     return np.abs(mesh.normals[:, :, axis]) == 1.0
 
 
-def test_face_impedance_values():
-    # eps = (5, 1; 1, 3), det 14, mu = 1: Z = sqrt(n^T eps n / 14)
+def test_effective_permittivity_values():
+    # with mu = 1, Z = 1/sqrt(eps_eff), eps_eff = det(eps) / n^T eps n
     mesh = structured_square_mesh(3)
+    x_faces = _axis_faces(mesh, 0)
+    assert x_faces.any()
+
+    def eps_eff(tensor):
+        imp = face_impedances(MaterialMap.uniform(mesh.n_elements, tensor), mesh)
+        return 1.0 / imp.z_minus**2
+
+    # every face direction (axis and diagonal) sees the identity as 1
+    np.testing.assert_allclose(eps_eff(PermittivityTensor.isotropic(1.0)), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(
+        eps_eff(PermittivityTensor(5.0, 0.0, 0.0, 3.0))[x_faces], 3.0, rtol=1e-14)
+    np.testing.assert_allclose(
+        eps_eff(PermittivityTensor(5.0, 1.0, 1.0, 3.0))[x_faces], 2.8, rtol=1e-14)
+
+
+def test_wave_speed_values():
+    # eps = (5, 1; 1, 3), det 14, mu = 1: c = Z / mu = sqrt(n^T eps n / 14)
+    mesh = structured_square_mesh(3)
+    ident = MaterialMap.uniform(mesh.n_elements, PermittivityTensor.isotropic(1.0))
+    np.testing.assert_allclose(face_impedances(ident, mesh).z_minus, 1.0, rtol=1e-14)
     mats = MaterialMap.uniform(mesh.n_elements, PermittivityTensor(5.0, 1.0, 1.0, 3.0))
     imp = face_impedances(mats, mesh)
     x_faces, y_faces = _axis_faces(mesh, 0), _axis_faces(mesh, 1)
     assert x_faces.any() and y_faces.any()
     np.testing.assert_allclose(imp.z_minus[x_faces], np.sqrt(5.0 / 14.0), rtol=1e-14)
     np.testing.assert_allclose(imp.z_minus[y_faces], np.sqrt(3.0 / 14.0), rtol=1e-14)
-    # a diagonal tensor along x: Z = sqrt(eps_xx / (eps_xx eps_yy)) = 1/sqrt(3)
-    diag = MaterialMap.uniform(mesh.n_elements, PermittivityTensor(5.0, 0.0, 0.0, 3.0))
-    np.testing.assert_allclose(face_impedances(diag, mesh).z_minus[x_faces],
-                               1.0 / np.sqrt(3.0), rtol=1e-14)
 
 
 def test_normal_sign_invariance():
