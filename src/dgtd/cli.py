@@ -89,6 +89,15 @@ def _note_unused(args, cfg, uses) -> None:
               f"{', '.join(unused)}", file=sys.stderr)
 
 
+def _make_out_dir(path) -> None:
+    """Create the output directory, once the inputs are checked and before
+    any run; ConfigError if it cannot be made."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: {exc}") from exc
+
+
 def _build_case(cfg) -> StabilityCase:
     mesh = cfg.build_mesh()
     return StabilityCase(mesh, cfg.build_materials(mesh), cfg.order,
@@ -112,9 +121,9 @@ def _cmd_simulate(args) -> int:
     config = RunConfig(dt=dt, final_time=case.final_time,
                        record_energy_every=cfg.energy_every,
                        blowup_factor=cfg.blowup_factor)
+    _make_out_dir(args.out)
     result = run(state0, case.op, config)
 
-    os.makedirs(args.out, exist_ok=True)
     write_energy_csv(os.path.join(args.out, "energy.csv"), result)
     with open(os.path.join(args.out, "effective.cfg"), "w",
               encoding="utf-8") as handle:
@@ -161,6 +170,7 @@ def _cmd_bound(args) -> int:
             bound.c_inv, bound.c_tau,
         )))
 
+    _make_out_dir(args.out)
     _note_unused(args, cfg, _BOUND_USES)
     rows = [("dim", *(f.name for f in dataclasses.fields(bound)))]
     for dim, title, evaluated in bounds:
@@ -168,7 +178,6 @@ def _cmd_bound(args) -> int:
         print(evaluated.report())
         rows.append((dim, *map(repr, dataclasses.astuple(evaluated))))
 
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "bound.csv"), "w",
               encoding="utf-8") as out:
         for row in rows:
@@ -201,8 +210,8 @@ def _cmd_table(args) -> int:
         else:
             print(f"h_min {row.h_min:.4f}  N {row.order}  FAILED: {row.error}")
 
+    _make_out_dir(args.out)
     rows = run_table(spec, progress=progress)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, table_filename(spec.bc, spec.alpha))
     write_table_csv(rows, path)
     print(f"wrote {path}")

@@ -142,7 +142,7 @@ class _Reader:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 parser.read_file(handle)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"malformed config {path}: {exc}") from exc

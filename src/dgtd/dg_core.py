@@ -27,10 +27,10 @@ like [Hz]. A boundary's t+ = -s_E t- gives the ghost rule's (1 - s_E) t-.
 rhs_e reads [Hz] and rhs_h reads n x [E], each the other only if some
 alpha > 0. Neither gathers: both take the jumps they read, so a
 leap-frog step gathers each of [Hz] and n x [E] once.
-The flux coefficients fold in the face scaling, the impedance weights,
-alpha and the material inverse (Hesthaven & Warburton, Nodal
-Discontinuous Galerkin Methods, 2008, ch. 3 and 6; Kloeckner et al.,
-JCP 228, 2009).
+Four per-face coefficients fold in the face scaling, the impedance
+weights, alpha, the material inverse and, in both E ones, the E flux
+direction eps^-1 (-ny, nx) (Hesthaven & Warburton, Nodal Discontinuous
+Galerkin Methods, 2008, ch. 3 and 6; Kloeckner et al., JCP 228, 2009).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MeshError
-from .materials import FaceImpedance, MaterialMap, face_impedances
+from .materials import MaterialMap, face_impedances
 from .mesh import Mesh2D
 from .reference_element import ReferenceElement
 
@@ -106,19 +106,36 @@ def _by_face(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(a, -1, -2)[..., None, :, :])
 
 
-def _impedance_weights(imp: FaceImpedance, mesh: Mesh2D, materials: MaterialMap):
-    """1/(z+ + z-), 1/((y+ + y-) mu) and their z+, y+ multiples, each times
-    edge_length/(2 J), the factor with which face integrals enter LIFT;
-    y = 1/z on each side.
+def _flux_coefficients(mesh: Mesh2D, materials: MaterialMap, alpha: np.ndarray,
+                       penalised: bool):
+    """The face-major flux coefficients (e_from_h, e_from_e, h_from_e,
+    h_from_h): (2, 1, 3, K) for E, (1, 3, K) for Hz, the penalty pair
+    None unless `penalised`.
 
-    A function of its own so that the impedance arrays are freed before
-    the operator builds its stacked coefficients.
+    alpha is the flux parameter of every face, (K, 3). Each coefficient
+    folds in edge_length/(2 J), the factor with which face integrals
+    enter through LIFT, and the inverse permittivity or permeability of
+    the field it updates:
+
+        f_E = e_dir (z+ [Hz] - alpha n x [E]) / (z+ + z-),
+        f_H = (y+ n x [E] - alpha [Hz]) / ((y+ + y-) mu),
+
+    with e_dir = eps^-1 (-ny, nx) and y = 1/z on each side. The normals
+    enter through n x [E]. A function of its own so that the impedance
+    arrays are freed before the operator stores the coefficients.
     """
+    imp = face_impedances(materials, mesh)
     fscale = mesh.edge_length / (2.0 * mesh.jac[:, None])
     z_w = fscale / (imp.z_plus + imp.z_minus)
     y_plus = 1.0 / imp.z_plus
     y_w = fscale / ((y_plus + 1.0 / imp.z_minus) * materials.mu[:, None])
-    return z_w, y_w, imp.z_plus * z_w, y_plus * y_w
+    nx, ny = mesh.normals[:, :, 0], mesh.normals[:, :, 1]
+    ie0, ie1 = materials.inv_eps.transpose(2, 1, 0)[..., None]
+    e_dir = ie1 * nx - ie0 * ny
+    e_from_h, h_from_e = _by_face(e_dir * (imp.z_plus * z_w)), _by_face(y_plus * y_w)
+    if not penalised:
+        return e_from_h, None, h_from_e, None
+    return e_from_h, _by_face(e_dir * (alpha * z_w)), h_from_e, _by_face(alpha * y_w)
 
 
 class SpatialOperator:
@@ -145,9 +162,14 @@ class SpatialOperator:
         self._boundary = np.flatnonzero(~interior.T)
         self._face_nodes = np.ascontiguousarray(elem.face_nodes.T)  # (Nfp, 3)
         self.sign_e, self.sign_h, alpha_b = _boundary_rule(flux.bc, flux.alpha)
-        self._check_conforming_traces()
+        self._normal = _by_face(mesh.normals.transpose(2, 0, 1))  # (2, 1, 3, K)
+        self._check_face_pairing()
 
-        self._init_face_coefficients(np.where(interior, flux.alpha, alpha_b))
+        alpha = np.where(interior, flux.alpha, alpha_b)
+        # some face penalises the jumps: each half-step then reads both
+        self.penalised = bool(alpha.any())
+        self._e_from_h, self._e_from_e, self._h_from_e, self._h_from_h = (
+            _flux_coefficients(mesh, materials, alpha, self.penalised))
 
         n_p = elem.node_count
         # LIFT's columns in the (Nfp, 3) row order of a face-major flux
@@ -164,46 +186,19 @@ class SpatialOperator:
         self._h_vol = (np.array([[mesh.ry, -mesh.rx], [mesh.sy, -mesh.sx]])
                        / materials.mu)[:, :, None]  # (2, 2, 1, K)
 
-    def _init_face_coefficients(self, alpha: np.ndarray):
-        """Flux coefficients per face, (1, 3, K) or stacked (2, 1, 3, K).
-
-        alpha is the flux parameter of every face, (K, 3). The
-        coefficients fold in edge_length/(2 J), the factor with which face
-        integrals enter through LIFT, and the inverse permittivity or
-        permeability of the field they update:
-
-            f_E = e_dir (z+ [Hz] - alpha n x [E]) / (z+ + z-),
-            f_H = (y+ n x [E] - alpha [Hz]) / ((y+ + y-) mu),
-
-        with e_dir = eps^-1 (-ny, nx). The normals enter through n x [E].
-        """
-        mesh = self.mesh
-        # some face penalises the jumps: each half-step then reads both
-        self.penalised = bool(alpha.any())
-        z_w, y_w, z_hz, y_e = _impedance_weights(
-            face_impedances(self.materials, mesh), mesh, self.materials)
-        nx, ny = mesh.normals[:, :, 0], mesh.normals[:, :, 1]
-        ie0, ie1 = self.materials.inv_eps.transpose(2, 1, 0)[..., None]
-        e_dir = ie1 * nx - ie0 * ny                                   # eps^-1 (-ny, nx)
-        self._normal = _by_face(mesh.normals.transpose(2, 0, 1))      # (2, 1, 3, K)
-        n = self._normal.reshape(2, -1)
-        opposed = (n[:, self._ext_face] == -n).all(axis=0)
-        if not np.delete(opposed, self._boundary).all():
-            raise MeshError("neighboring faces' normals are not exact opposites")
-        self._e_from_h = _by_face(e_dir * z_hz)
-        self._h_from_e = _by_face(y_e)
-        if self.penalised:
-            self._e_dir = _by_face(e_dir)
-            self._e_from_e = _by_face(alpha * z_w)
-            self._h_from_h = _by_face(alpha * y_w)
-
-    def _check_conforming_traces(self):
+    def _check_face_pairing(self):
+        """MeshError unless each interior face meets its neighbor's: face
+        nodes that coincide and normals that are exact opposites."""
         mismatch = np.hypot(self.jump(self.x, 1.0), self.jump(self.y, 1.0))
         if mismatch.size and mismatch.max() > 1e-9 * max(self.mesh.h_max, 1.0):
             raise MeshError(
                 "face nodes of neighboring elements do not coincide; "
                 "mesh is not conforming"
             )
+        n = self._normal.reshape(2, -1)
+        opposed = (n[:, self._ext_face] == -n).all(axis=0)
+        if not np.delete(opposed, self._boundary).all():
+            raise MeshError("neighboring faces' normals are not exact opposites")
 
     # -- surface terms ----------------------------------------------------
 
@@ -258,7 +253,7 @@ class SpatialOperator:
         hz_t = _node_major(hz)
         flux = self._e_from_h * hz_jump
         if self.penalised:
-            flux -= self._e_dir * (self._e_from_e * e_cross)
+            flux -= self._e_from_e * e_cross
         grad = (self._d_stack @ hz_t).reshape(2, -1, hz_t.shape[1])  # (d/dr, d/ds)
         r_e = self._e_vol[0] * grad[0] + self._e_vol[1] * grad[1]
         r_e += self._lift @ flux.reshape(2, -1, hz_t.shape[1])

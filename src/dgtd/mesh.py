@@ -18,6 +18,12 @@ import numpy as np
 from .errors import DomainError, MeshError, NonManifoldError
 
 MESH_HEADER = "dgtd-mesh v1"
+# the blocks after the header, in file order, each a '<tag> <count>' line and a
+# line per row: (tag, row name, row form, token type, dtype, bad-token message)
+_BLOCKS = (
+    ("V", "vertex", "x y", float, np.float64, "bad coordinate"),
+    ("T", "triangle", "i j k", int, np.int64, "bad vertex index"),
+)
 
 # local edge f joins vertices (f, f+1 mod 3)
 _EDGE_VERTS = ((0, 1), (1, 2), (2, 0))
@@ -277,27 +283,24 @@ def save_mesh(mesh: Mesh2D, path) -> None:
     """Write the mesh in the plain-text v1 format."""
     with open(path, "w", encoding="utf-8") as out:
         out.write(MESH_HEADER + "\n")
-        out.write(f"V {mesh.n_vertices}\n")
-        for x, y in mesh.vertices:
-            out.write(f"{float(x)!r} {float(y)!r}\n")
-        out.write(f"T {mesh.n_elements}\n")
-        for i, j, k in mesh.triangles:
-            out.write(f"{i} {j} {k}\n")
+        for (tag, *_), block in zip(_BLOCKS, (mesh.vertices, mesh.triangles)):
+            out.write(f"{tag} {len(block)}\n")
+            out.writelines(" ".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
 def load_mesh(path, reorient: bool = False) -> Mesh2D:
     """Read a mesh from the plain-text v1 format and validate it."""
-    with open(path, "r", encoding="utf-8") as inp:
-        tokens_by_line = [line.split() for line in inp]
-
-    lines = [t for t in tokens_by_line if t]
+    try:
+        with open(path, "r", encoding="utf-8") as inp:
+            lines = [tokens for tokens in map(str.split, inp) if tokens]
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or " ".join(lines[0]) != MESH_HEADER:
         raise MeshError(f"{path}: missing '{MESH_HEADER}' header")
 
     pos = 1
-
-    def expect_count(tag: str) -> int:
-        nonlocal pos
+    blocks = []
+    for tag, row_name, form, kind, dtype, bad_token in _BLOCKS:
         if pos >= len(lines) or lines[pos][0] != tag or len(lines[pos]) != 2:
             raise MeshError(f"{path}: expected '{tag} <count>' line")
         try:
@@ -308,30 +311,18 @@ def load_mesh(path, reorient: bool = False) -> Mesh2D:
         if not 0 <= count <= len(lines) - pos:
             raise MeshError(f"{path}: count on '{tag}' line is negative or exceeds "
                             f"the number of lines after it ({len(lines) - pos})")
-        return count
-
-    n_v = expect_count("V")
-    vertices = np.empty((n_v, 2))
-    for i in range(n_v):
-        if pos >= len(lines) or len(lines[pos]) != 2:
-            raise MeshError(f"{path}: vertex {i}: expected 'x y'")
-        try:
-            vertices[i] = [float(lines[pos][0]), float(lines[pos][1])]
-        except ValueError as exc:
-            raise MeshError(f"{path}: vertex {i}: bad coordinate") from exc
-        pos += 1
-
-    n_t = expect_count("T")
-    triangles = np.empty((n_t, 3), dtype=np.int64)
-    for k in range(n_t):
-        if pos >= len(lines) or len(lines[pos]) != 3:
-            raise MeshError(f"{path}: triangle {k}: expected 'i j k'")
-        try:
-            triangles[k] = [int(t) for t in lines[pos]]
-        except (ValueError, OverflowError) as exc:  # not an int, or beyond int64
-            raise MeshError(f"{path}: triangle {k}: bad vertex index") from exc
-        pos += 1
+        width = len(form.split())
+        block = np.empty((count, width), dtype=dtype)
+        for i, tokens in enumerate(lines[pos:pos + count]):
+            if len(tokens) != width:
+                raise MeshError(f"{path}: {row_name} {i}: expected '{form}'")
+            try:
+                block[i] = [kind(t) for t in tokens]
+            except (ValueError, OverflowError) as exc:  # not a number, or beyond int64
+                raise MeshError(f"{path}: {row_name} {i}: {bad_token}") from exc
+        blocks.append(block)
+        pos += count
 
     if pos != len(lines):
         raise MeshError(f"{path}: trailing content after triangle list")
-    return mesh_from_arrays(vertices, triangles, reorient=reorient)
+    return mesh_from_arrays(*blocks, reorient=reorient)

@@ -732,3 +732,41 @@ def test_bad_material_tables_exit_2_and_write_nothing(tmp_path, capsys, command,
     assert err.startswith("error: ") and match in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, files", [
+    ("simulate", {"run.cfg": PEC_CONFIG.encode() + b"# \xff\n"}),
+    ("table", {"run.cfg": TABLE_SPEC.encode() + b"# \xff\n"}),
+    ("bound", {"mesh.txt": SQUARE_MESH.encode().replace(b"1 1", b"1 \xff"),
+               "run.cfg": PEC_CONFIG.replace("kind = structured\ncells = 5",
+                                             "kind = file\npath = mesh.txt").encode()}),
+], ids=["simulation-config", "table-spec", "mesh-file"])
+def test_undecodable_input_files_exit_2(tmp_path, capsys, monkeypatch, command, files):
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    bad = next(name for name, data in files.items() if b"\xff" in data)
+    assert main([command, "--config", "run.cfg", "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad in err and "byte 0xff" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", WRITES_OUT)
+def test_out_that_is_a_file_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                  command):
+    import dgtd.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    monkeypatch.setattr(cli, "run_table", refuse)
+    cfg = write(tmp_path, "run.cfg", TABLE_SPEC if command == "table" else PEC_CONFIG)
+    out = tmp_path / "out"
+    out.write_text("")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: ")
+    assert "Traceback" not in err

@@ -114,6 +114,14 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(back.neighbor, mesh.neighbor)
 
 
+def test_save_mesh_writes_the_v1_text(tmp_path):
+    path = tmp_path / "mesh.txt"
+    save_mesh(structured_square_mesh(1), path)
+    assert path.read_text() == (
+        "dgtd-mesh v1\nV 4\n-1.0 -1.0\n1.0 -1.0\n-1.0 1.0\n1.0 1.0\n"
+        "T 2\n0 1 2\n1 3 2\n")
+
+
 def test_load_rejects_duplicate_triangle(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text(
@@ -148,10 +156,12 @@ def test_load_clockwise_triangle_reoriented_or_rejected(tmp_path):
                  r"count on 'V' line .* \(1\)", id="V-beyond-max-dim"),
     pytest.param("dgtd-mesh v1\nV 3\n0 0\n1 0\n0 1\nT 1000000000000\n0 1 2\n",
                  r"count on 'T' line .* \(1\)", id="T-beyond-file"),
+    pytest.param(b"dgtd-mesh v1\nV 1\n\xff 0\nT 0\n",
+                 r"bad\.txt: not UTF-8 text: .* byte 0xff", id="undecodable-byte"),
 ])
 def test_load_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(MeshError, match=match):
         load_mesh(path)
 
