@@ -99,10 +99,8 @@ def _make_out_dir(path) -> None:
 
 
 def _build_case(cfg) -> StabilityCase:
-    mesh = cfg.build_mesh()
-    return StabilityCase(mesh, cfg.build_materials(mesh), cfg.order,
-                         cfg.alpha, cfg.bc, initial=cfg.initial,
-                         final_time=cfg.final_time)
+    return StabilityCase(cfg.mesh, cfg.materials, cfg.order, cfg.alpha,
+                         cfg.bc, initial=cfg.initial, final_time=cfg.final_time)
 
 
 def _cmd_simulate(args) -> int:
@@ -155,8 +153,7 @@ def _cmd_bound(args) -> int:
     if args.h_min_3d is not None and not args.three_d:
         raise ConfigError("--h-min-3d is used only with --three-d")
     cfg = parse_config(args.config)
-    mesh = cfg.build_mesh()
-    materials = cfg.build_materials(mesh)
+    mesh, materials = cfg.mesh, cfg.materials
     bound = theoretical_bound(mesh, materials, cfg.order, cfg.alpha, cfg.bc)
     # every bound is evaluated, and so checked, before anything is printed
     bounds = [("2", f"2D bound for order {cfg.order}, alpha {cfg.alpha}, "

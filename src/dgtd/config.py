@@ -39,8 +39,11 @@ A simulation config looks like::
 A mesh file replaces `kind = structured` with `kind = file` plus
 `path = mesh.txt`; a per-element material table replaces the tensor
 entries and `mu` with `table = materials.txt` (rows: k exx exy eyx eyy mu).
-A key left out takes its default from `SimulationConfig`; every number
-given must be finite. `safety` is read only under `dt = auto`.
+A key left out takes the default stated where the parse reads it; every
+number given must be finite. `safety` is read only under `dt = auto`.
+Once every key is read, the parse builds the mesh and the material map
+and checks the order and alpha, so a config it returns is one a run can
+use.
 
 `[initial] name` is a key of `leapfrog.INITIAL_CONDITIONS` or `custom`;
 it defaults to sm_sine under `bc = SM` and pec_cosine otherwise. A
@@ -66,70 +69,43 @@ import configparser
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .dg_core import normalize_bc
+from .dg_core import FluxParams, normalize_bc
 from .errors import ConfigError
 from .experiments import BENCHMARK_EPS, DEFAULT_TOL, SweepSpec
 from .leapfrog import (DEFAULT_BLOWUP_FACTOR, INITIAL_CONDITIONS,
                        default_initial_condition)
 from .materials import MaterialMap, PermittivityTensor
 from .mesh import Mesh2D, load_mesh, structured_square_mesh
+from .reference_element import check_order
 
 
 @dataclass
 class SimulationConfig:
-    mesh_kind: str = "structured"
-    mesh_path: str | None = None
-    cells: int = 10
-    xmin: float = -1.0
-    xmax: float = 1.0
-    ymin: float = -1.0
-    ymax: float = 1.0
-    diagonal: str = "slash"
-    reorient: bool = False
+    """A parsed simulation config: the mesh and materials it describes,
+    built and checked, and the run settings."""
 
-    eps: PermittivityTensor = BENCHMARK_EPS
-    material_table: str | None = None
-    mu: float = 1.0
-
-    order: int = 1
-    alpha: float = 0.0
-    bc: str = "PEC"
-
-    dt: float | None = None  # None: safety times the theoretical bound
-    safety: float = 0.5
-    final_time: float = 1.0
-
+    mesh: Mesh2D
+    materials: MaterialMap
+    order: int
+    alpha: float
+    bc: str
+    dt: float | None  # None: safety times the theoretical bound
+    safety: float | None  # None beside a numeric dt
+    final_time: float
     # a name in leapfrog.INITIAL_CONDITIONS, or f(x, y, dt) for custom
-    initial: str | Callable = "pec_cosine"
-
-    energy_every: int = 1
-    fields_out: bool = False
-    blowup_factor: float = DEFAULT_BLOWUP_FACTOR
-
+    initial: str | Callable
+    energy_every: int
+    fields_out: bool
+    blowup_factor: float
     # every key the parse read, with the value it used, as config text
-    effective_text: str = field(default="", init=False, repr=False)
+    effective_text: str = field(repr=False)
     # the (section, key) pairs the file sets, in the order the parse read them
-    keys_set: tuple[tuple[str, str], ...] = field(default=(), init=False, repr=False)
-
-    def build_mesh(self) -> Mesh2D:
-        if self.mesh_kind == "structured":
-            return structured_square_mesh(self.cells, self.xmin, self.xmax,
-                                          self.ymin, self.ymax, self.diagonal)
-        return load_mesh(self.mesh_path, reorient=self.reorient)
-
-    def build_materials(self, mesh: Mesh2D) -> MaterialMap:
-        if self.material_table is not None:
-            try:
-                rows = np.loadtxt(self.material_table, ndmin=2)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(
-                    f"material table {self.material_table}: {exc}") from exc
-            return MaterialMap.from_table(mesh.n_elements, rows)
-        return MaterialMap.uniform(mesh.n_elements, self.eps, self.mu)
+    keys_set: tuple[tuple[str, str], ...] = field(repr=False)
 
 
 class _Reader:
@@ -242,6 +218,14 @@ def _require_file(path, what: str, config_path):
         raise ConfigError(f"{config_path}: {what} file not found: {path}")
 
 
+def _table_materials(table, n_elements: int) -> MaterialMap:
+    try:
+        rows = np.loadtxt(table, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"material table {table}: {exc}") from exc
+    return MaterialMap.from_table(n_elements, rows)
+
+
 # the `[initial] hz` grammar: numbers (read as floats), these names,
 # one-argument calls of these functions, + - * / ** and unary + -
 _HZ_FUNCTIONS = {name: getattr(np, name)
@@ -312,74 +296,88 @@ def _parse_hz(expr: str, path) -> Callable:
 
 def parse_config(path) -> SimulationConfig:
     """Parse and validate a simulation config file; sections and keys the
-    parse does not read are errors, not silently ignored."""
+    parse does not read are errors, not silently ignored. Once every key
+    is read it builds the mesh and the material map and checks the order
+    and alpha, in the order a run meets them."""
     reader = _Reader(path)
-    cfg = SimulationConfig()
 
-    cfg.mesh_kind = reader.get("mesh", "kind", cfg.mesh_kind)
-    if cfg.mesh_kind == "structured":
-        cfg.cells = reader.get_int("mesh", "cells", cfg.cells)
-        cfg.xmin = reader.get_float("mesh", "xmin", cfg.xmin)
-        cfg.xmax = reader.get_float("mesh", "xmax", cfg.xmax)
-        cfg.ymin = reader.get_float("mesh", "ymin", cfg.ymin)
-        cfg.ymax = reader.get_float("mesh", "ymax", cfg.ymax)
-        cfg.diagonal = reader.get("mesh", "diagonal", cfg.diagonal)
-    elif cfg.mesh_kind == "file":
-        cfg.mesh_path = reader.get("mesh", "path", required=True)
-        cfg.reorient = reader.get_bool("mesh", "reorient", cfg.reorient)
-        _require_file(cfg.mesh_path, "mesh", path)
+    kind = reader.get("mesh", "kind", "structured")
+    if kind == "structured":
+        build_mesh = partial(
+            structured_square_mesh,
+            reader.get_int("mesh", "cells", 10),
+            reader.get_float("mesh", "xmin", -1.0),
+            reader.get_float("mesh", "xmax", 1.0),
+            reader.get_float("mesh", "ymin", -1.0),
+            reader.get_float("mesh", "ymax", 1.0),
+            reader.get("mesh", "diagonal", "slash"))
+    elif kind == "file":
+        mesh_path = reader.get("mesh", "path", required=True)
+        build_mesh = partial(load_mesh, mesh_path,
+                             reorient=reader.get_bool("mesh", "reorient", False))
+        _require_file(mesh_path, "mesh", path)
     else:
-        raise ConfigError(f"{path}: unknown mesh kind {cfg.mesh_kind!r}")
+        raise ConfigError(f"{path}: unknown mesh kind {kind!r}")
 
-    cfg.material_table = reader.get("material", "table")
-    if cfg.material_table is not None:
-        _require_file(cfg.material_table, "material table", path)
+    table = reader.get("material", "table")
+    if table is not None:
+        _require_file(table, "material table", path)
+        build_materials = partial(_table_materials, table)
     else:
-        cfg.eps = PermittivityTensor(
-            reader.get_float("material", "eps_xx", cfg.eps.xx),
-            reader.get_float("material", "eps_xy", cfg.eps.xy),
-            reader.get_float("material", "eps_yx", cfg.eps.yx),
-            reader.get_float("material", "eps_yy", cfg.eps.yy),
+        eps = PermittivityTensor(
+            reader.get_float("material", "eps_xx", BENCHMARK_EPS.xx),
+            reader.get_float("material", "eps_xy", BENCHMARK_EPS.xy),
+            reader.get_float("material", "eps_yx", BENCHMARK_EPS.yx),
+            reader.get_float("material", "eps_yy", BENCHMARK_EPS.yy),
         )
-        cfg.mu = reader.get_float("material", "mu", cfg.mu)
+        build_materials = partial(MaterialMap.uniform, eps=eps,
+                                  mu=reader.get_float("material", "mu", 1.0))
 
-    cfg.order = reader.get_int("discretization", "order", cfg.order)
-    cfg.alpha = reader.get_float("discretization", "alpha", cfg.alpha)
-    cfg.bc = reader.note("discretization", "bc",
-                         normalize_bc(reader.get("discretization", "bc", cfg.bc)))
+    order = reader.get_int("discretization", "order", 1)
+    alpha = reader.get_float("discretization", "alpha", 0.0)
+    bc = reader.note("discretization", "bc",
+                     normalize_bc(reader.get("discretization", "bc", "PEC")))
 
+    dt = safety = None
     if reader.get("time", "dt", "auto") != "auto":
-        cfg.dt = reader.get_float("time", "dt")
-        if cfg.dt <= 0.0:
+        dt = reader.get_float("time", "dt")
+        if dt <= 0.0:
             raise ConfigError(f"{path}: dt must be positive")
     else:  # safety scales only the auto dt
-        cfg.safety = reader.get_float("time", "safety", cfg.safety)
-        if not cfg.safety > 0.0:
+        safety = reader.get_float("time", "safety", 0.5)
+        if not safety > 0.0:
             raise ConfigError(f"{path}: safety must be positive")
-    cfg.final_time = reader.get_float("time", "final_time", cfg.final_time)
-    if cfg.final_time <= 0.0:
+    final_time = reader.get_float("time", "final_time", 1.0)
+    if final_time <= 0.0:
         raise ConfigError(f"{path}: final_time must be positive")
 
-    cfg.initial = reader.get("initial", "name",
-                             default_initial_condition(cfg.bc))
-    if cfg.initial == "custom":
-        cfg.initial = _parse_hz(reader.get("initial", "hz", required=True), path)
-    elif cfg.initial not in INITIAL_CONDITIONS:
-        raise ConfigError(f"{path}: unknown [initial] name {cfg.initial!r}; "
+    initial = reader.get("initial", "name", default_initial_condition(bc))
+    if initial == "custom":
+        initial = _parse_hz(reader.get("initial", "hz", required=True), path)
+    elif initial not in INITIAL_CONDITIONS:
+        raise ConfigError(f"{path}: unknown [initial] name {initial!r}; "
                           f"use {', '.join(INITIAL_CONDITIONS)} or custom")
 
-    cfg.energy_every = reader.get_int("output", "energy_every", cfg.energy_every)
-    if cfg.energy_every < 1:
+    energy_every = reader.get_int("output", "energy_every", 1)
+    if energy_every < 1:
         raise ConfigError(f"{path}: [output] energy_every must be >= 1")
-    cfg.fields_out = reader.get_bool("output", "fields", cfg.fields_out)
-    cfg.blowup_factor = reader.get_float("output", "blowup_factor",
-                                         cfg.blowup_factor)
-    if not cfg.blowup_factor > 1.0:
+    fields_out = reader.get_bool("output", "fields", False)
+    blowup_factor = reader.get_float("output", "blowup_factor",
+                                     DEFAULT_BLOWUP_FACTOR)
+    if not blowup_factor > 1.0:
         raise ConfigError(f"{path}: [output] blowup_factor must be > 1")
     reader.reject_unread()
-    cfg.effective_text = reader.effective_text()
-    cfg.keys_set = tuple(key for key in reader.read if reader.has(*key))
-    return cfg
+
+    mesh = build_mesh()
+    materials = build_materials(mesh.n_elements)
+    check_order(order)
+    FluxParams(alpha, bc)
+    return SimulationConfig(
+        mesh=mesh, materials=materials, order=order, alpha=alpha, bc=bc,
+        dt=dt, safety=safety, final_time=final_time, initial=initial,
+        energy_every=energy_every, fields_out=fields_out,
+        blowup_factor=blowup_factor, effective_text=reader.effective_text(),
+        keys_set=tuple(key for key in reader.read if reader.has(*key)))
 
 
 def parse_table_spec(path) -> SweepSpec:

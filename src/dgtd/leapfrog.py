@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dg_core import BC_SM, SpatialOperator
+from .dg_core import BC_SM, SpatialOperator, normalize_bc
 from .errors import BlowupDetected, ConfigError
 from .materials import MaterialMap
 from .mesh import Mesh2D
@@ -250,4 +250,4 @@ def standing_mode_frequency(materials: MaterialMap) -> float:
 
 
 def default_initial_condition(bc: str) -> str:
-    return "sm_sine" if bc == BC_SM else "pec_cosine"
+    return "sm_sine" if normalize_bc(bc) == BC_SM else "pec_cosine"

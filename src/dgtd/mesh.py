@@ -234,8 +234,9 @@ def mesh_from_arrays(vertices, triangles, reorient: bool = False) -> Mesh2D:
 
 
 def check_cells(cells) -> None:
-    """DomainError unless cells is an integer >= 1 (numpy integers too)."""
-    if not isinstance(cells, (int, np.integer)) or cells < 1:
+    """DomainError unless cells is an integer >= 1 (numpy ones too, no bool)."""
+    if (isinstance(cells, bool) or not isinstance(cells, (int, np.integer))
+            or cells < 1):
         raise DomainError(f"cells must be an integer >= 1, got {cells!r}")
 
 

@@ -228,8 +228,8 @@ _cache: dict[int, ReferenceElement] = {}
 
 def check_order(order) -> int:
     """The polynomial order as an int; InvalidOrderError unless it is an
-    integer in 1..MAX_ORDER."""
-    if not isinstance(order, (int, np.integer)):
+    integer in 1..MAX_ORDER (a bool is not one)."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         raise InvalidOrderError(f"order must be an integer, got {order!r}")
     order = int(order)
     if order < 1 or order > MAX_ORDER:
@@ -266,15 +266,13 @@ def build_reference_element(order: int) -> ReferenceElement:
     # All three edges carry the same symmetric Gauss-Lobatto distribution,
     # but the edge coordinates _face_nodes returns, and so the three edge
     # mass matrices, agree only to round-off. LIFT builds each edge's own
-    # matrix; face_mass_1d is edge 0's, kept for demo 01 and the tests.
-    v1 = vandermonde_1d(order, face_params[0])
-    face_mass = np.linalg.inv(v1 @ v1.T)
-
+    # matrix; face_mass_1d is edge 0's block, kept for demo 01 and the tests.
     emat = np.zeros((n_p, 3 * n_fp))
     for f in range(3):
         vf = vandermonde_1d(order, face_params[f])
         emat[face_nodes[f], f * n_fp:(f + 1) * n_fp] = np.linalg.inv(vf @ vf.T)
     lift = v @ (v.T @ emat)
+    face_mass = emat[face_nodes[0], :n_fp]
 
     elem = ReferenceElement(
         order=order,

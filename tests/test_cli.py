@@ -10,7 +10,8 @@ import pytest
 
 from dgtd.cli import _build_parser, main
 from dgtd.config import parse_config, parse_table_spec
-from dgtd.errors import ConfigError
+from dgtd.errors import (ConfigError, DomainError, InvalidOrderError,
+                         MaterialError, MeshError)
 from dgtd.experiments import SweepSpec, table_filename
 
 PEC_CONFIG = """\
@@ -383,9 +384,26 @@ def config_pairs(path):
             for key in parser.options(section)]
 
 
-def test_readme_config_block_sets_what_simulate_reads(tmp_path):
+def readme_config_block():
     readme = (REPO / "README.md").read_text()
-    block = readme.split("### Config format")[1].split("```ini\n")[1].split("```")[0]
+    return readme.split("### Config format")[1].split("```ini\n")[1].split("```")[0]
+
+
+def test_readme_config_block_parses(tmp_path):
+    cfg = parse_config(write(tmp_path, "readme.cfg", readme_config_block()))
+    assert cfg.mesh.n_elements == 2 * 10 * 10
+    assert cfg.mesh.vertices.min() == -1.0 and cfg.mesh.vertices.max() == 1.0
+    np.testing.assert_array_equal(cfg.materials.eps,
+                                  np.broadcast_to([[5.0, 1.0], [1.0, 3.0]], (200, 2, 2)))
+    np.testing.assert_array_equal(cfg.materials.mu, np.ones(200))
+    assert (cfg.order, cfg.alpha, cfg.bc) == (2, 0.0, "PEC")
+    assert (cfg.dt, cfg.safety, cfg.final_time) == (None, 0.9, 1.0)
+    assert (cfg.initial, cfg.energy_every, cfg.fields_out, cfg.blowup_factor) == (
+        "pec_cosine", 1, False, 1e6)
+
+
+def test_readme_config_block_sets_what_simulate_reads(tmp_path):
+    block = readme_config_block()
     assert "final_time = 1.0\n" in block
     cfg = write(tmp_path, "readme.cfg",
                 block.replace("final_time = 1.0\n", "final_time = 0.01\n"))
@@ -571,14 +589,56 @@ def test_material_table_config(tmp_path):
         "eps_xx = 5.0\neps_xy = 1.0\neps_yx = 1.0\neps_yy = 3.0\nmu = 1.0",
         f"table = {table}")
     cfg = parse_config(write(tmp_path, "run.cfg", text))
-    mesh = cfg.build_mesh()
-    mats = cfg.build_materials(mesh)
-    assert mats.eps[1, 0, 0] == 4.0
+    assert cfg.materials.eps[1, 0, 0] == 4.0
     assert "\nmu = " not in cfg.effective_text
     # the table's last column is mu: a [material] mu beside it would be ignored
     with pytest.raises(ConfigError, match=r"unknown or unused \[material\] keys: mu"):
         parse_config(write(tmp_path, "mu.cfg",
                            text.replace(f"table = {table}", f"table = {table}\nmu = 7.0")))
+
+
+# configs parse_config refuses once it builds the mesh and materials and
+# checks order and alpha: (edits of PEC_CONFIG, files to write into the
+# test directory {dir}, error, message). With two faults the first one a
+# run meets is reported: mesh, materials, order, alpha.
+MATERIALS = "eps_xx = 5.0\neps_xy = 1.0\neps_yx = 1.0\neps_yy = 3.0\nmu = 1.0"
+PARSE_REFUSES = {
+    "cells0": ([("cells = 5", "cells = 0")], {}, DomainError,
+               "cells must be an integer >= 1, got 0"),
+    "diagonal": ([("cells = 5", "cells = 5\ndiagonal = diag")], {}, DomainError,
+                 "unknown diagonal 'diag'"),
+    "xmax-le-xmin": ([("cells = 5", "cells = 5\nxmin = 1.0\nxmax = 1.0")], {},
+                     DomainError, "degenerate domain extents"),
+    "mesh-file-truncated": (
+        [("kind = structured\ncells = 5", "kind = file\npath = {dir}/mesh.txt")],
+        {"mesh.txt": SQUARE_MESH.rsplit("0 3 2", 1)[0]}, MeshError,
+        "count on 'T' line is negative or exceeds"),
+    "table-bad-row": ([("cells = 5", "cells = 1"), (MATERIALS, "table = {dir}/mats.txt")],
+                      {"mats.txt": "0 1 0 0 1 1\n1.5 4 0 0 4 1\n"}, MaterialError,
+                      "element id 1.5 is not an integer"),
+    "order0": ([("order = 1", "order = 0")], {}, InvalidOrderError,
+               "order must be between 1 and 15, got 0"),
+    "alpha": ([("alpha = 0.0", "alpha = 1.5")], {}, ConfigError,
+              r"alpha must lie in \[0, 1\], got 1.5"),
+    "cells0-order0": ([("cells = 5", "cells = 0"), ("order = 1", "order = 0")], {},
+                      DomainError, "cells must be an integer >= 1, got 0"),
+    "order0-alpha": ([("order = 1", "order = 0"), ("alpha = 0.0", "alpha = 1.5")], {},
+                     InvalidOrderError, "order must be between 1 and 15, got 0"),
+}
+
+
+@pytest.mark.parametrize("edits, files, error, match", PARSE_REFUSES.values(),
+                         ids=PARSE_REFUSES.keys())
+def test_parse_config_builds_and_checks_what_it_describes(tmp_path, edits, files,
+                                                          error, match):
+    for name, text in files.items():
+        write(tmp_path, name, text)
+    text = PEC_CONFIG
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new.format(dir=tmp_path))
+    with pytest.raises(error, match=match):
+        parse_config(write(tmp_path, "run.cfg", text))
 
 
 TABLE_SPEC = "[sweep]\ncells = 5\norders = 1\nalpha = 1.0\nbc = PEC\ntol = 0.05\n"

@@ -18,7 +18,7 @@ from dgtd import (
     structured_square_mesh,
     write_table_csv,
 )
-from dgtd.errors import DomainError, SweepError
+from dgtd.errors import DomainError, InvalidOrderError, SweepError
 from dgtd.experiments import START_TOL, flux_name, table_filename
 
 
@@ -295,10 +295,15 @@ def test_sweep_spec_refuses_empty_or_repeated_lists(cells, orders, match):
         SweepSpec(cells=cells, orders=orders, alpha=0.0, bc="PEC")
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, "5"])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, "5", True])
 def test_sweep_spec_refuses_cells_that_are_not_integers_above_0(bad):
     with pytest.raises(DomainError, match="cells must be an integer >= 1"):
         SweepSpec(cells=[5, bad], orders=[1], alpha=0.0, bc="PEC")
+
+
+def test_sweep_spec_refuses_a_bool_order():
+    with pytest.raises(InvalidOrderError, match="order must be an integer, got True"):
+        SweepSpec(cells=[5], orders=[True], alpha=0.0, bc="PEC")
 
 
 def test_sweep_spec_accepts_numpy_integer_cells():

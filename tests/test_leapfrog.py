@@ -24,7 +24,8 @@ from dgtd import (
     write_energy_csv,
 )
 import dgtd.leapfrog
-from dgtd.leapfrog import standing_mode_frequency
+from dgtd.dg_core import _BC_ALIASES, BC_SM
+from dgtd.leapfrog import default_initial_condition, standing_mode_frequency
 from helpers import DenseRhsOracle, counting
 
 EPS_ANISO = PermittivityTensor(5.0, 1.0, 1.0, 3.0)
@@ -265,6 +266,13 @@ def test_initial_condition_small_dt_limits():
 
     sm = initial_conditions("sm_sine", mesh, elem, mats, tiny)
     assert np.abs(sm.Hz).max() < 1e-11
+
+
+@pytest.mark.parametrize("label, bc", _BC_ALIASES.items(), ids=_BC_ALIASES.keys())
+def test_default_initial_condition_reads_every_bc_spelling(label, bc):
+    expected = "sm_sine" if bc == BC_SM else "pec_cosine"
+    for spelling in (label, label.upper(), f" {label} ", bc):
+        assert default_initial_condition(spelling) == expected
 
 
 def test_initial_condition_custom_callable_and_errors():

@@ -184,7 +184,7 @@ def test_degenerate_extents_rejected():
         structured_square_mesh(3, 1.0, 1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         structured_square_mesh(0)
-    for cells in (2.5, 2.0, "2"):
+    for cells in (2.5, 2.0, "2", True):
         with pytest.raises(DomainError, match="integer"):
             structured_square_mesh(cells)
     assert structured_square_mesh(np.int64(2)).n_elements == 8

@@ -30,7 +30,7 @@ def test_order_one_nodes_are_vertices():
     assert got == expected
 
 
-@pytest.mark.parametrize("bad", [0, -1, 16, 100])
+@pytest.mark.parametrize("bad", [0, -1, 16, 100, True, False])
 def test_invalid_order_rejected(bad):
     with pytest.raises(InvalidOrderError):
         build_reference_element(bad)
