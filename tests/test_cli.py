@@ -738,6 +738,34 @@ def test_bad_values_exit_2_and_write_nothing(tmp_path, capsys, command, text, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    pytest.param("simulate", PEC_CONFIG.replace("alpha = 0.0", "alpha = x"),
+                 "bad value for [discretization] alpha: 'x'", id="float"),
+    pytest.param("simulate", PEC_CONFIG.replace("order = 1", "order = 1.5"),
+                 "bad value for [discretization] order: '1.5'", id="int"),
+    pytest.param("simulate", PEC_CONFIG.replace("dt = auto", "dt = nonsense"),
+                 "bad value for [time] dt: 'nonsense'", id="dt"),
+    pytest.param("simulate", PEC_CONFIG.replace("alpha = 0.0", "alpha = nan"),
+                 "[discretization] alpha must be finite, got 'nan'", id="non-finite"),
+    pytest.param("simulate", PEC_CONFIG + "[output]\nfields = maybe\n",
+                 "bad boolean for [output] fields: 'maybe'", id="boolean"),
+    pytest.param("table", TABLE_SPEC.replace("cells = 5", "cells = 5 x"),
+                 "bad list for [sweep] cells: '5 x'", id="list"),
+    pytest.param("simulate", PEC_CONFIG.replace("kind = structured", "kind = file"),
+                 "missing [mesh] path", id="required"),
+    pytest.param("table", TABLE_SPEC.replace("bc = PEC\n", ""),
+                 "missing [sweep] bc", id="required-in-sweep"),
+])
+def test_each_read_path_reports_its_key(tmp_path, capsys, command, text, message):
+    cfg = write(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_table_with_a_failed_row_exits_4(tmp_path, capsys, monkeypatch):
     import dgtd.experiments as experiments
 
