@@ -39,8 +39,9 @@ A simulation config looks like::
 A mesh file replaces `kind = structured` with `kind = file` plus
 `path = mesh.txt`; a per-element material table replaces the tensor
 entries and `mu` with `table = materials.txt` (rows: k exx exy eyx eyy mu).
-A key left out takes the default stated where the parse reads it; every
-number given must be finite. `safety` is read only under `dt = auto`.
+Each key is read once, by `_Reader.get`: a key left out takes the default
+stated at that read, and every number given must be finite. `safety` is
+read only under `dt = auto`.
 Once every key is read, the parse builds the mesh and the material map
 and checks the order and alpha, so a config it returns is one a run can
 use.
@@ -109,8 +110,8 @@ class SimulationConfig:
 
 
 class _Reader:
-    """configparser wrapper with typed getters and error context; it records
-    each (section, key) asked for, in order, with the value the parse used."""
+    """configparser wrapper with one getter, `get`; it records each
+    (section, key) asked for once, in order, with the value the parse used."""
 
     def __init__(self, path):
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
@@ -152,65 +153,48 @@ class _Reader:
         return "\n\n".join(f"[{section}]\n" + "\n".join(lines)
                            for section, lines in sections.items()) + "\n"
 
-    def note(self, section: str, key: str, value):
-        """Record value as the one the parse used for the key; returns it."""
+    def get(self, section: str, key: str, default=None, cast=None,
+            required=False):
+        """The key's value, recorded: cast(raw), or the raw text when cast is
+        None. A missing key gives default, or ConfigError when required; a
+        ValueError from the cast (a bad `_CAST_NOUNS` word, or "value") and
+        a non-finite float are ConfigErrors naming the key."""
+        value = default
+        if self.parser.has_option(section, key):
+            raw = self.parser.get(section, key).strip()
+            try:
+                value = raw if cast is None else cast(raw)
+            except ConfigError:  # a cast's own error (normalize_bc's) stands
+                raise
+            except ValueError as exc:
+                raise ConfigError(f"{self.path}: bad {_CAST_NOUNS.get(cast, 'value')} "
+                                  f"for [{section}] {key}: {raw!r}") from exc
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(
+                    f"{self.path}: [{section}] {key} must be finite, got {raw!r}")
+        elif required:
+            raise ConfigError(f"{self.path}: missing [{section}] {key}")
         self.read[(section, key)] = value
         return value
 
-    def has(self, section: str, key: str | None = None) -> bool:
-        if key is None:
-            return self.parser.has_section(section)
-        return self.parser.has_option(section, key)
 
-    def get(self, section: str, key: str, default=None, required=False) -> str:
-        if self.parser.has_option(section, key):
-            value = self.parser.get(section, key).strip()
-        elif required:
-            raise ConfigError(f"{self.path}: missing [{section}] {key}")
-        else:
-            value = default
-        return self.note(section, key, value)
+def _boolean(raw: str) -> bool:
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+    if value is None:
+        raise ValueError(raw)
+    return value
 
-    def _typed(self, caster, section, key, default, required=False):
-        raw = self.get(section, key, None, required=required)
-        if raw is None:
-            return self.note(section, key, default)
-        try:
-            value = caster(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{self.path}: bad value for [{section}] {key}: {raw!r}"
-            ) from exc
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(
-                f"{self.path}: [{section}] {key} must be finite, got {raw!r}")
-        return self.note(section, key, value)
 
-    def get_float(self, section, key, default=None, required=False):
-        return self._typed(float, section, key, default, required)
+def _int_list(raw: str) -> list[int]:
+    return [int(token) for token in raw.replace(",", " ").split()]
 
-    def get_int(self, section, key, default=None, required=False):
-        return self._typed(int, section, key, default, required)
 
-    def get_bool(self, section, key, default=False):
-        raw = self.get(section, key)
-        if raw is None:
-            return self.note(section, key, default)
-        value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
-        if value is None:
-            raise ConfigError(f"{self.path}: bad boolean for [{section}] {key}: {raw!r}")
-        return self.note(section, key, value)
+def _auto_or_float(raw: str) -> str | float:
+    return raw if raw == "auto" else float(raw)
 
-    def get_list(self, section, key, caster, required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return []
-        try:
-            return [caster(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError as exc:
-            raise ConfigError(
-                f"{self.path}: bad list for [{section}] {key}: {raw!r}"
-            ) from exc
+
+# how a bad value of each cast is named in its error; any other is a "value"
+_CAST_NOUNS = {_boolean: "boolean", _int_list: "list"}
 
 
 def _require_file(path, what: str, config_path):
@@ -305,16 +289,16 @@ def parse_config(path) -> SimulationConfig:
     if kind == "structured":
         build_mesh = partial(
             structured_square_mesh,
-            reader.get_int("mesh", "cells", 10),
-            reader.get_float("mesh", "xmin", -1.0),
-            reader.get_float("mesh", "xmax", 1.0),
-            reader.get_float("mesh", "ymin", -1.0),
-            reader.get_float("mesh", "ymax", 1.0),
+            reader.get("mesh", "cells", 10, int),
+            reader.get("mesh", "xmin", -1.0, float),
+            reader.get("mesh", "xmax", 1.0, float),
+            reader.get("mesh", "ymin", -1.0, float),
+            reader.get("mesh", "ymax", 1.0, float),
             reader.get("mesh", "diagonal", "slash"))
     elif kind == "file":
         mesh_path = reader.get("mesh", "path", required=True)
         build_mesh = partial(load_mesh, mesh_path,
-                             reorient=reader.get_bool("mesh", "reorient", False))
+                             reorient=reader.get("mesh", "reorient", False, _boolean))
         _require_file(mesh_path, "mesh", path)
     else:
         raise ConfigError(f"{path}: unknown mesh kind {kind!r}")
@@ -325,29 +309,27 @@ def parse_config(path) -> SimulationConfig:
         build_materials = partial(_table_materials, table)
     else:
         eps = PermittivityTensor(
-            reader.get_float("material", "eps_xx", BENCHMARK_EPS.xx),
-            reader.get_float("material", "eps_xy", BENCHMARK_EPS.xy),
-            reader.get_float("material", "eps_yx", BENCHMARK_EPS.yx),
-            reader.get_float("material", "eps_yy", BENCHMARK_EPS.yy),
+            reader.get("material", "eps_xx", BENCHMARK_EPS.xx, float),
+            reader.get("material", "eps_xy", BENCHMARK_EPS.xy, float),
+            reader.get("material", "eps_yx", BENCHMARK_EPS.yx, float),
+            reader.get("material", "eps_yy", BENCHMARK_EPS.yy, float),
         )
         build_materials = partial(MaterialMap.uniform, eps=eps,
-                                  mu=reader.get_float("material", "mu", 1.0))
+                                  mu=reader.get("material", "mu", 1.0, float))
 
-    order = reader.get_int("discretization", "order", 1)
-    alpha = reader.get_float("discretization", "alpha", 0.0)
-    bc = reader.note("discretization", "bc",
-                     normalize_bc(reader.get("discretization", "bc", "PEC")))
+    order = reader.get("discretization", "order", 1, int)
+    alpha = reader.get("discretization", "alpha", 0.0, float)
+    bc = reader.get("discretization", "bc", "PEC", normalize_bc)
 
-    dt = safety = None
-    if reader.get("time", "dt", "auto") != "auto":
-        dt = reader.get_float("time", "dt")
-        if dt <= 0.0:
-            raise ConfigError(f"{path}: dt must be positive")
-    else:  # safety scales only the auto dt
-        safety = reader.get_float("time", "safety", 0.5)
+    dt = reader.get("time", "dt", "auto", _auto_or_float)
+    safety = None
+    if dt == "auto":  # safety scales only the auto dt
+        dt, safety = None, reader.get("time", "safety", 0.5, float)
         if not safety > 0.0:
             raise ConfigError(f"{path}: safety must be positive")
-    final_time = reader.get_float("time", "final_time", 1.0)
+    elif dt <= 0.0:
+        raise ConfigError(f"{path}: dt must be positive")
+    final_time = reader.get("time", "final_time", 1.0, float)
     if final_time <= 0.0:
         raise ConfigError(f"{path}: final_time must be positive")
 
@@ -358,12 +340,12 @@ def parse_config(path) -> SimulationConfig:
         raise ConfigError(f"{path}: unknown [initial] name {initial!r}; "
                           f"use {', '.join(INITIAL_CONDITIONS)} or custom")
 
-    energy_every = reader.get_int("output", "energy_every", 1)
+    energy_every = reader.get("output", "energy_every", 1, int)
     if energy_every < 1:
         raise ConfigError(f"{path}: [output] energy_every must be >= 1")
-    fields_out = reader.get_bool("output", "fields", False)
-    blowup_factor = reader.get_float("output", "blowup_factor",
-                                     DEFAULT_BLOWUP_FACTOR)
+    fields_out = reader.get("output", "fields", False, _boolean)
+    blowup_factor = reader.get("output", "blowup_factor",
+                               DEFAULT_BLOWUP_FACTOR, float)
     if not blowup_factor > 1.0:
         raise ConfigError(f"{path}: [output] blowup_factor must be > 1")
     reader.reject_unread()
@@ -377,21 +359,21 @@ def parse_config(path) -> SimulationConfig:
         dt=dt, safety=safety, final_time=final_time, initial=initial,
         energy_every=energy_every, fields_out=fields_out,
         blowup_factor=blowup_factor, effective_text=reader.effective_text(),
-        keys_set=tuple(key for key in reader.read if reader.has(*key)))
+        keys_set=tuple(key for key in reader.read if reader.parser.has_option(*key)))
 
 
 def parse_table_spec(path) -> SweepSpec:
     """Parse a `[sweep]` spec file for table generation; SweepSpec checks it."""
     reader = _Reader(path)
-    if not reader.has("sweep"):
+    if not reader.parser.has_section("sweep"):
         raise ConfigError(f"{path}: missing [sweep] section")
 
     fields = {
-        "cells": reader.get_list("sweep", "cells", int, required=True),
-        "orders": reader.get_list("sweep", "orders", int, required=True),
-        "alpha": reader.get_float("sweep", "alpha", 0.0),
+        "cells": reader.get("sweep", "cells", cast=_int_list, required=True),
+        "orders": reader.get("sweep", "orders", cast=_int_list, required=True),
+        "alpha": reader.get("sweep", "alpha", 0.0, float),
         "bc": reader.get("sweep", "bc", required=True),
-        "tol": reader.get_float("sweep", "tol", DEFAULT_TOL),
+        "tol": reader.get("sweep", "tol", DEFAULT_TOL, float),
     }
     reader.reject_unread()
     return SweepSpec(**fields)

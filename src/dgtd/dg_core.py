@@ -73,6 +73,8 @@ class FluxParams:
     bc: str = BC_PEC
 
     def __post_init__(self):
+        if isinstance(self.alpha, bool):
+            raise ConfigError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         object.__setattr__(self, "bc", normalize_bc(self.bc))

@@ -60,9 +60,11 @@ BENCHMARK_EPS = PermittivityTensor(5.0, 1.0, 1.0, 3.0)
 DEFAULT_BOUNDED_FACTOR = 5.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilityCase:
-    """Everything about a run except the time step."""
+    """Everything about a run except the time step. Frozen, since `elem`
+    and `op` are built from the fields; `dataclasses.replace` makes a
+    changed case."""
 
     mesh: Mesh2D
     materials: MaterialMap
@@ -74,14 +76,14 @@ class StabilityCase:
     bounded_factor: float = DEFAULT_BOUNDED_FACTOR
 
     def __post_init__(self):
-        self.bc = normalize_bc(self.bc)
+        object.__setattr__(self, "bc", normalize_bc(self.bc))
         if self.initial is None:
-            self.initial = default_initial_condition(self.bc)
-        self.elem = build_reference_element(self.order)
-        self.op = SpatialOperator(
+            object.__setattr__(self, "initial", default_initial_condition(self.bc))
+        object.__setattr__(self, "elem", build_reference_element(self.order))
+        object.__setattr__(self, "op", SpatialOperator(
             self.mesh, self.materials, self.elem,
             FluxParams(alpha=self.alpha, bc=self.bc),
-        )
+        ))
 
     def theory(self) -> StabilityConstants:
         return theoretical_bound(self.mesh, self.materials, self.order,

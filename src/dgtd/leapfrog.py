@@ -127,8 +127,10 @@ class RunConfig:
         if not (0.0 <= self.dt < math.inf and 0.0 < self.final_time < math.inf):
             raise ConfigError("dt must be finite and >= 0, and final_time "
                               f"finite and > 0; got {self.dt}, {self.final_time}")
-        if self.record_energy_every < 1:
-            raise ConfigError("record_energy_every must be >= 1")
+        every = self.record_energy_every
+        if (isinstance(every, bool) or not isinstance(every, (int, np.integer))
+                or every < 1):
+            raise ConfigError(f"record_energy_every must be an integer >= 1, got {every!r}")
         if not self.blowup_factor > 1.0:
             raise ConfigError("blowup_factor must be > 1")
 

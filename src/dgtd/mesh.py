@@ -186,14 +186,19 @@ def _validate_triangles(vertices: np.ndarray, triangles: np.ndarray,
 def mesh_from_arrays(vertices, triangles, reorient: bool = False) -> Mesh2D:
     """Validate raw vertex/triangle arrays and build the full mesh.
 
-    Raises MeshError for a mesh without triangles or a faulty triangle
-    (see `_validate_triangles`) and NonManifoldError for an edge shared
-    by more than two triangles.
+    Raises MeshError for a mesh without triangles, a vertex with a
+    non-finite coordinate or a faulty triangle (see `_validate_triangles`)
+    and NonManifoldError for an edge shared by more than two triangles.
     """
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
     triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     if len(triangles) == 0:
         raise MeshError("mesh has no triangles")
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise MeshError(f"vertex {i} has a non-finite coordinate: "
+                        f"{vertices[i].tolist()}")
     triangles = _validate_triangles(vertices, triangles, reorient)
     neighbor, neighbor_face = build_connectivity(triangles)
 

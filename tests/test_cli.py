@@ -291,6 +291,27 @@ def test_bound_on_mesh_file_with_huge_index_is_a_config_error(tmp_path, capsys):
     assert "triangle 0: bad vertex index" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "bound", "dtmax-sweep"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_mesh_file_with_a_non_finite_vertex_exits_2(tmp_path, capsys, command, bad):
+    from dgtd.mesh import save_mesh, structured_square_mesh
+
+    mesh = tmp_path / "mesh.txt"
+    save_mesh(structured_square_mesh(2), mesh)
+    lines = mesh.read_text().splitlines(keepends=True)
+    assert lines[2] == "-1.0 -1.0\n"  # vertex 0
+    lines[2] = f"{bad} -1.0\n"
+    mesh.write_text("".join(lines))
+    cfg = write(tmp_path, "run.cfg", PEC_CONFIG.replace(
+        "kind = structured\ncells = 5", f"kind = file\npath = {mesh}"))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg] + out_flag(command, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: vertex 0 has a non-finite coordinate: [{bad}, -1.0]\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -764,6 +785,29 @@ def test_each_read_path_reports_its_key(tmp_path, capsys, command, text, message
     assert captured.err == f"error: {cfg}: {message}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_each_key_is_recorded_with_the_value_used(tmp_path, monkeypatch):
+    import dgtd.config as config
+
+    records = []
+    reject_unread = config._Reader.reject_unread
+
+    def record_then_reject_unread(reader):
+        records.append(dict(reader.read))
+        reject_unread(reader)
+
+    monkeypatch.setattr(config._Reader, "reject_unread", record_then_reject_unread)
+    parse_table_spec(write(tmp_path, "table.cfg",
+                           TABLE_SPEC.replace("cells = 5", "cells = 5, 10")))
+    parse_config(write(tmp_path, "run.cfg", PEC_CONFIG.replace(
+        "dt = auto\nsafety = 0.5", "dt = 1e-2").replace("bc = PEC", "bc = pec")))
+    sweep, simulation = records
+    assert sweep == {("sweep", "cells"): [5, 10], ("sweep", "orders"): [1],
+                     ("sweep", "alpha"): 1.0, ("sweep", "bc"): "PEC",
+                     ("sweep", "tol"): 0.05}
+    assert simulation[("time", "dt")] == 0.01
+    assert simulation[("discretization", "bc")] == "PEC"
 
 
 def test_table_with_a_failed_row_exits_4(tmp_path, capsys, monkeypatch):

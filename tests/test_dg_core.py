@@ -198,6 +198,12 @@ def test_boundary_ghost_silver_muller():
     assert alpha == 1.0  # forced upwind at the outer boundary
 
 
+@pytest.mark.parametrize("alpha", [True, False, -0.5, 1.5, np.nan])
+def test_flux_params_refuse_alpha_outside_0_1_and_bools(alpha):
+    with pytest.raises(ConfigError, match="alpha must"):
+        FluxParams(alpha=alpha)
+
+
 def test_boundary_ghost_unknown_label():
     with pytest.raises(ConfigError):
         boundary_ghost("absorbing", 0.0, (np.zeros(1),) * 3)

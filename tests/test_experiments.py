@@ -18,7 +18,7 @@ from dgtd import (
     structured_square_mesh,
     write_table_csv,
 )
-from dgtd.errors import DomainError, InvalidOrderError, SweepError
+from dgtd.errors import ConfigError, DomainError, InvalidOrderError, SweepError
 from dgtd.experiments import START_TOL, flux_name, table_filename
 
 
@@ -304,6 +304,22 @@ def test_sweep_spec_refuses_cells_that_are_not_integers_above_0(bad):
 def test_sweep_spec_refuses_a_bool_order():
     with pytest.raises(InvalidOrderError, match="order must be an integer, got True"):
         SweepSpec(cells=[5], orders=[True], alpha=0.0, bc="PEC")
+
+
+def test_sweep_spec_refuses_a_bool_alpha():
+    with pytest.raises(ConfigError, match="alpha must be a number, got True"):
+        SweepSpec(cells=[5], orders=[1], alpha=True, bc="PEC")
+
+
+def test_stability_case_is_frozen(coarse_case):
+    # op is built from the fields, so a field set afterwards would split the case
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        coarse_case.alpha = 1.0
+    assert coarse_case.alpha == coarse_case.op.flux.alpha == 0.0
+    changed = dataclasses.replace(coarse_case, alpha=1.0)
+    assert changed.op.flux.alpha == 1.0
+    assert changed.theory().beta1 == 1.0
+    assert coarse_case.theory().beta1 == 0.0
 
 
 def test_sweep_spec_accepts_numpy_integer_cells():

@@ -227,6 +227,12 @@ def test_run_config_refuses_bad_times(dt, final_time):
         RunConfig(dt=dt, final_time=final_time)
 
 
+@pytest.mark.parametrize("every", [0, 2.5, True, False])
+def test_run_config_refuses_energy_steps_that_are_not_integers_above_0(every):
+    with pytest.raises(ConfigError, match="record_energy_every must be an integer >= 1"):
+        RunConfig(dt=0.1, final_time=1.0, record_energy_every=every)
+
+
 def test_run_result_status_follows_blowup_step():
     state = FieldState(*np.zeros((3, 1, 3)), dt=0.1)
     done, blown = RunResult(state, np.zeros((1, 3))), RunResult(state, np.zeros((1, 3)), 7)

@@ -254,6 +254,25 @@ SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
                    [2.0, 2.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(tmp_path, bad):
+    # vertices 2 and 4 are non-finite, 4 in no triangle: the first is named
+    verts = SQUARE.copy()
+    verts[[2, 4], 1] = bad
+    tris = [[0, 1, 2], [0, 2, 3]]
+    message = f"vertex 2 has a non-finite coordinate: [1.0, {bad}]"
+    with pytest.raises(MeshError) as exc:
+        mesh_from_arrays(verts, tris)
+    assert str(exc.value) == message
+    path = tmp_path / "mesh.txt"
+    path.write_text("dgtd-mesh v1\nV 5\n"
+                    + "".join(f"{x} {y}\n" for x, y in verts)
+                    + "T 2\n0 1 2\n0 2 3\n")
+    with pytest.raises(MeshError) as exc:
+        load_mesh(path)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("tris,message", [
     ([[0, 1, 2], [0, 2, 4]], "triangle 1 is degenerate (zero area)"),
     ([[0, 1, 2], [-1, 2, 3]], "triangle 1 refers to a vertex out of range"),
