@@ -9,7 +9,6 @@ from .dg_core import (
     SpatialOperator,
 )
 from .errors import (
-    BlowupDetected,
     ConfigError,
     DgtdError,
     DomainError,

@@ -17,12 +17,13 @@ from .config import parse_config, parse_table_spec
 from .errors import ConfigError, DgtdError, DomainError, MaterialError, MeshError
 from .experiments import (
     DEFAULT_TOL,
+    TABLE_CSV_HEADER,
     StabilityCase,
     cfl_constant,
     find_dtmax,
     run_table,
+    table_csv_line,
     table_filename,
-    write_table_csv,
 )
 from .leapfrog import (
     RunConfig,
@@ -199,18 +200,22 @@ def _cmd_dtmax(args) -> int:
 
 def _cmd_table(args) -> int:
     spec = parse_table_spec(args.config)
-
-    def progress(row):
-        if row.error is None:
-            print(f"h_min {row.h_min:.4f}  N {row.order}  "
-                  f"dt_max {row.dt_max:.6g}  C {row.c:.4g}")
-        else:
-            print(f"h_min {row.h_min:.4f}  N {row.order}  FAILED: {row.error}")
-
     _make_out_dir(args.out)
-    rows = run_table(spec, progress=progress)
     path = os.path.join(args.out, table_filename(spec.bc, spec.alpha))
-    write_table_csv(rows, path)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(TABLE_CSV_HEADER)
+
+        def progress(row):
+            if row.error is None:
+                print(f"h_min {row.h_min:.4f}  N {row.order}  "
+                      f"dt_max {row.dt_max:.6g}  C {row.c:.4g}")
+            else:
+                print(f"h_min {row.h_min:.4f}  N {row.order}  FAILED: {row.error}")
+            # each row is on disk once its search ends, so a cut run keeps it
+            out.write(table_csv_line(row))
+            out.flush()
+
+        rows = run_table(spec, progress=progress)
     print(f"wrote {path}")
     # a row that could not bracket dt_max fails the table, as it fails dtmax-sweep
     return EXIT_INTERNAL if any(row.error is not None for row in rows) else EXIT_OK

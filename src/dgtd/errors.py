@@ -31,14 +31,3 @@ class ConfigError(DgtdError, ValueError):
 
 class SweepError(DgtdError, RuntimeError):
     """The stability sweep harness could not bracket a threshold."""
-
-
-class BlowupDetected(DgtdError, RuntimeError):
-    """Non-finite field values appeared during time stepping.
-
-    Carries the index of the step at which the blowup was detected.
-    """
-
-    def __init__(self, step: int):
-        super().__init__(f"solution blew up at step {step}")
-        self.step = step

@@ -272,9 +272,16 @@ def run_table(spec: SweepSpec,
     return rows
 
 
+TABLE_CSV_HEADER = "h_min,N,dt_max,C,theory_bound\n"
+
+
+def table_csv_line(row: SweepRow) -> str:
+    """A row's line of a table CSV, under TABLE_CSV_HEADER."""
+    return (f"{row.h_min:.6g},{row.order},{row.dt_max:.6g},"
+            f"{row.c:.6g},{row.theory_bound:.6g}\n")
+
+
 def write_table_csv(rows: list[SweepRow], path) -> None:
     with open(path, "w", encoding="utf-8") as out:
-        out.write("h_min,N,dt_max,C,theory_bound\n")
-        for row in rows:
-            out.write(f"{row.h_min:.6g},{row.order},{row.dt_max:.6g},"
-                      f"{row.c:.6g},{row.theory_bound:.6g}\n")
+        out.write(TABLE_CSV_HEADER)
+        out.writelines(map(table_csv_line, rows))

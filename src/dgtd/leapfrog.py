@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dg_core import BC_SM, SpatialOperator, normalize_bc
-from .errors import BlowupDetected, ConfigError
+from .errors import ConfigError
 from .materials import MaterialMap
 from .mesh import Mesh2D
 from .reference_element import ReferenceElement
@@ -64,9 +64,8 @@ def step(state: FieldState, op: SpatialOperator, dt: float) -> FieldState:
     gathered here.
     dt must be the state's own dt, so that its times stay step * dt:
     ConfigError otherwise. The input arrays are left unchanged; the new
-    fields are new, writable Fortran-order arrays. Raises BlowupDetected,
-    carrying the index of the step it would have made, if non-finite
-    values appear.
+    fields are new, writable Fortran-order arrays. Non-finite values are
+    stepped like any others; `run` is what checks for them.
     """
     if dt != state.dt:
         raise ConfigError(f"step dt {dt!r} differs from the state's dt {state.dt!r}")
@@ -83,9 +82,6 @@ def step(state: FieldState, op: SpatialOperator, dt: float) -> FieldState:
     hz1 = op.rhs_h(ex1, ey1, e_cross, hz_jump)
     hz1 *= dt
     hz1 += state.Hz
-    if not (np.isfinite(hz1).all() and np.isfinite(ex1).all()
-            and np.isfinite(ey1).all()):
-        raise BlowupDetected(state.step + 1)
     if isinstance(state, _RunState):
         # a central flux never reads it, so it is not kept
         return _RunState(ex1, ey1, hz1, dt, state.step + 1,
@@ -164,11 +160,13 @@ def run(state0: FieldState, op: SpatialOperator, config: RunConfig) -> RunResult
 
     Aborts with a "blewup" status (not an exception) at the first step
     whose fields are not finite, or at the first recorded step (every
-    record_energy_every steps, and the last) whose energy exceeds
-    blowup_factor times its initial value; the energy between recorded
-    steps is not checked. Overflow on the way to a blowup is that status,
-    so numpy does not warn about it. config.dt must be state0.dt (see
-    `step`).
+    record_energy_every steps, and the last) whose energy is not finite or
+    exceeds blowup_factor times its initial value. The fields themselves are
+    checked only where no finite energy vouches for them. Non-finite fields
+    end the trace with an inf row and the state of the step before; an
+    energy stop returns the state it recorded. Overflow on the way to a
+    blowup is that status, so numpy does not warn about it. config.dt must
+    be state0.dt (see `step`).
     """
     mesh, materials, elem = op.mesh, op.materials, op.elem
     state = _RunState(state0.Ex, state0.Ey, state0.Hz, state0.dt, state0.step)
@@ -181,14 +179,16 @@ def run(state0: FieldState, op: SpatialOperator, config: RunConfig) -> RunResult
     blowup_step = None
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(n_steps):
-            try:
-                state = step(state, op, config.dt)
-            except BlowupDetected as blow:
-                trace.append((blow.step, blow.step * config.dt, math.inf))
-                blowup_step = blow.step
+            new = step(state, op, config.dt)
+            recorded = (m + 1) % every == 0 or m + 1 == n_steps
+            energy = discrete_energy(new, mesh, materials, elem) if recorded else math.nan
+            if not math.isfinite(energy) and not all(
+                    np.isfinite(u).all() for u in (new.Ex, new.Ey, new.Hz)):
+                trace.append((new.step, new.time_E, math.inf))
+                blowup_step = new.step
                 break
-            if (m + 1) % every == 0 or m + 1 == n_steps:
-                energy = discrete_energy(state, mesh, materials, elem)
+            state = new
+            if recorded:
                 trace.append((state.step, state.time_E, energy))
                 if not math.isfinite(energy) or energy > threshold:
                     blowup_step = state.step

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .dg_core import BC_PEC, BC_PMC, SpatialOperator, normalize_bc
+from .dg_core import BC_PEC, BC_PMC, FluxParams, SpatialOperator, normalize_bc
 from .errors import DomainError
 from .materials import MaterialMap, face_impedances
 from .mesh import Mesh2D
@@ -153,9 +153,8 @@ def stability_bound(dim: int, order: int, h_min: float, eps_lower: float,
     check_order(order)
     _check_positive(h_min=h_min, eps_lower=eps_lower, mu_lower=mu_lower,
                     z_min=z_min, y_min=y_min, c_inv=c_inv, c_tau=c_tau)
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    b1, b2, b3 = beta_params(bc, alpha)
+    flux = FluxParams(alpha, bc)  # ConfigError for a bad alpha or bc
+    b1, b2, b3 = beta_params(flux.bc, flux.alpha)
     bracket_e, bracket_h = _TRACE_BRACKETS[dim]
     poly = (order + 1) * (order + dim)
     base = 0.5 * c_inv * order**2

@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -254,6 +255,29 @@ def test_simulate_fields_output(tmp_path):
     lines = (out / "fields.csv").read_text().splitlines()
     assert lines[0] == "element,node,x,y,Ex,Ey,Hz"
     assert len(lines) == 1 + 50 * 3  # K * Np for N=1 on a 5x5 grid
+
+
+# benchmark_case(4, 2, 0.0, "PEC") at dt 0.3: the fields overflow at step 231,
+# between energy records
+BLOWUP_CONFIG = (PEC_CONFIG.replace("cells = 5", "cells = 4")
+                 .replace("order = 1", "order = 2")
+                 .replace("dt = auto\nsafety = 0.5", "dt = 0.3")
+                 .replace("final_time = 1.0", "final_time = 100.0")
+                 + "\n[output]\nenergy_every = 10000\nfields = true\n")
+
+
+def test_simulate_blowup_between_energy_records(tmp_path, capsys):
+    cfg = write(tmp_path, "run.cfg", BLOWUP_CONFIG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "blowup at step 231 (t = 69.3)\n"
+    assert (out / "energy.csv").read_bytes() == (
+        b"step,time,energy\n0,0.0,0.8431133979245886\n231,69.3,inf\n")
+    # the fields are the last finite state, step 230's, to the last bit
+    fields = (out / "fields.csv").read_bytes()
+    assert fields.count(b"\n") == 1 + 32 * 6
+    assert hashlib.sha256(fields).hexdigest() == (
+        "28e5258c70f6074db0b89dbe787d1aa4a7adf11a23dc0e00a31e0d31e5dbf1c7")
 
 
 def test_bound_command(tmp_path, capsys):
@@ -825,6 +849,28 @@ def test_table_with_a_failed_row_exits_4(tmp_path, capsys, monkeypatch):
     lines = (out / "table_pec_upwind.csv").read_text().splitlines()
     assert [line.split(",")[1:] for line in lines[1:]] == [
         [order, "nan", "nan", "nan"] for order in ("1", "2")]
+
+
+def test_table_writes_each_row_as_its_search_ends(tmp_path, monkeypatch):
+    import dgtd.cli as cli
+
+    path = tmp_path / "out" / "table_pec_upwind.csv"
+    finished, run_table = [], cli.run_table
+
+    def checked_run_table(spec, progress):
+        def check(row):
+            progress(row)
+            finished.append(row)
+            assert path.read_text().splitlines() == ["h_min,N,dt_max,C,theory_bound"] + [
+                f"{r.h_min:.6g},{r.order},{r.dt_max:.6g},{r.c:.6g},{r.theory_bound:.6g}"
+                for r in finished]
+        return run_table(spec, progress=check)
+
+    monkeypatch.setattr(cli, "run_table", checked_run_table)
+    spec = write(tmp_path, "table.cfg", TABLE_SPEC.replace("orders = 1", "orders = 1 2"))
+    assert main(["table", "--config", spec, "--out", str(tmp_path / "out")]) == 0
+    assert [row.order for row in finished] == [1, 2]
+    assert len(path.read_text().splitlines()) == 3
 
 
 @pytest.mark.parametrize("command", ["simulate", "dtmax-sweep"])

@@ -73,6 +73,19 @@ def test_step_refuses_a_dt_other_than_the_states():
     assert step(state, op, 0.01).time_E == 0.01
 
 
+@pytest.mark.parametrize("bc,alpha", [("PEC", 0.0), ("SM", 1.0)])
+def test_step_passes_non_finite_fields_on(bc, alpha):
+    # finiteness is run's check, not step's
+    mesh, elem, mats, op = build_setup(cells=3, order=2, alpha=alpha, bc=bc)
+    state = initial_conditions(default_initial_condition(bc), mesh, elem, mats, 0.01)
+    state.Hz[1, 2] = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        nxt = step(state, op, 0.01)
+    assert nxt.step == 1
+    assert not np.isfinite(nxt.Hz).all()
+    assert not np.isfinite(nxt.Ex).all() or not np.isfinite(nxt.Ey).all()
+
+
 def test_staggered_times_track_step_index():
     mesh, elem, mats, op = build_setup(order=1)
     dt = 0.001
@@ -185,11 +198,11 @@ def test_run_blows_up_above_threshold():
     assert result.blowup_step <= result.state.step + 1
 
 
-@pytest.mark.parametrize("every, nonfinite", [(10000, True), (1, False)])
+@pytest.mark.parametrize("every, nonfinite", [(10000, True), (231, True), (1, False)])
 def test_blowup_step_is_the_last_trace_row(every, nonfinite):
     # dt 0.3 is far above the limit: with a sparse energy cadence the fields
     # overflow first (step 231), with cadence 1 the energy threshold stops
-    # the run first
+    # the run first; at cadence 231 the overflow falls on a recorded step
     mesh, elem, mats, op = build_setup(cells=4, order=2, alpha=0.0, bc="PEC")
     dt = 0.3
     state = initial_conditions("pec_cosine", mesh, elem, mats, dt)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dgtd import (
+    ConfigError,
     DomainError,
     FluxParams,
     InvalidOrderError,
@@ -248,8 +249,11 @@ def test_bound_monotonicity_random_draws():
 def test_bound_rejects_bad_inputs():
     with pytest.raises(DomainError):
         stability_bound(2, 1, -0.5, 1.0, 1.0, 1.0, 1.0, 0.0, "PEC", 9.0, 2.2)
-    with pytest.raises(DomainError):
+    # the alpha rule is FluxParams'
+    with pytest.raises(ConfigError, match=r"alpha must lie in \[0, 1\], got 1.5"):
         stability_bound(2, 1, 0.5, 1.0, 1.0, 1.0, 1.0, 1.5, "PEC", 9.0, 2.2)
+    with pytest.raises(ConfigError, match="alpha must be a number, got True"):
+        stability_bound(2, 1, 0.5, 1.0, 1.0, 1.0, 1.0, True, "PEC", 9.0, 2.2)
     for dim in (2, 3):
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError, match="positive and finite"):
